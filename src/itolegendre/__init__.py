@@ -44,9 +44,7 @@ from .msekit import (
     CaseInfo,
     MseReport,
     PatternScopeError,
-    allowed_permutations,
     classify_case,
-    enumerated_case_mse,
     exact_mse,
     list_cases,
     mse_bound,
@@ -72,14 +70,12 @@ __all__ = [
     "Poly",
     "Rational",
     "WeightSpec",
-    "allowed_permutations",
     "basis_phi",
     "classify_case",
     "coefficient_table",
     "definite_integral",
     "empirical_mse",
     "enumerate_matchings",
-    "enumerated_case_mse",
     "exact_mse",
     "fourier_coefficient",
     "kernel_norm",

@@ -185,6 +185,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     pattern = IndexPattern.parse(args.pattern)
     w = _parse_exponents(args.q, pattern.k)
     interval = _parse_interval(args.len)

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -320,10 +321,17 @@ def save_table(path: Union[str, Path], w: WeightSpec, p: int,
     doc = dict(payload)
     doc["checksum"] = _checksum(payload)
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
-                   encoding="utf-8")
-    os.replace(tmp, path)
+    # a temporary file of its own, so concurrent writers of one key never
+    # share a partial file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: Union[str, Path],

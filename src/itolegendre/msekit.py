@@ -7,10 +7,11 @@ at order p is
 
 where I_k is the squared kernel norm, j runs over {0..p}^k, and sigma runs
 over the position permutations that preserve the pattern: the direct
-product of symmetric groups on its equality blocks. The engine derives
-that group from the block structure. A second, independent route evaluates
-the literally transcribed case catalog for multiplicities 1..5 (labels
-(I), (II), (III).1, ...), kept solely as an oracle against the engine.
+product of symmetric groups on its equality blocks. The orbit-sum engine
+evaluates the double sum as one pass over the orbits of that group, in
+exact integers; it is checked against the permutation and catalog oracles
+in tests/. The transcribed case catalog for multiplicities 1..5 (labels
+(I), (II), (III).1, ...) names the case of each pattern.
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
 truncations and, for patterns containing the time component, requires
@@ -21,9 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .coeffs import (
@@ -31,6 +34,7 @@ from .coeffs import (
     Interval,
     MultiIndex,
     WeightSpec,
+    _simplex_core,
     coefficient_table,
     kernel_norm,
 )
@@ -63,45 +67,6 @@ class MseReport:
     @property
     def exact_mse_string(self) -> str:
         return str(self.exact_mse_rational)
-
-
-@dataclass(frozen=True)
-class BlockPermutations:
-    """Position permutations preserving a pattern's coincidence structure."""
-
-    k: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return math.prod(math.factorial(len(b)) for b in self.blocks)
-
-    def __iter__(self):
-        """Yield permutations as source-position tuples sigma, so that the
-        permuted multi-index is tuple(j[sigma[l]] for l in range(k))."""
-        per_block = [list(itertools.permutations(b)) for b in self.blocks]
-        for choice in itertools.product(*per_block):
-            sigma = list(range(self.k))
-            for block, image in zip(self.blocks, choice):
-                for tgt, src in zip(block, image):
-                    sigma[tgt] = src
-            yield tuple(sigma)
-
-
-def allowed_permutations(pattern: IndexPattern) -> BlockPermutations:
-    """Permutations entering the exact error for an all-Wiener pattern.
-
-    Positions may be permuted freely within each equality block; the group
-    size is the product of the block factorials. Patterns containing the
-    time component are rejected: their exact error is not defined here,
-    only the upper bound applies (see ``mse_bound``).
-    """
-    if pattern.zero_positions:
-        raise PatternScopeError(
-            "exact mean-square error is defined for Wiener components only "
-            "(all labels >= 1); for patterns with time components (label 0) "
-            "use the upper bound instead")
-    return BlockPermutations(k=pattern.k, blocks=pattern.blocks)
 
 
 # --- case catalog -----------------------------------------------------------
@@ -263,20 +228,19 @@ def classify_case(pattern: IndexPattern) -> Optional[str]:
     return _CASE_BY_KEY[(pattern.k, pattern.coincidence_key)].label
 
 
-# --- exact error engine -----------------------------------------------------
+# --- orbit-sum engine -------------------------------------------------------
+#
+# The weight w(j) = prod(2 j_l + 1) is constant on the orbits of the block
+# permutations G, and sum_{sigma in G} C(sigma j) = |Stab(O)| * S_O for j in
+# the orbit O with coefficient sum S_O. The double sum of the exact error
+# therefore collapses to sum_O w(O) |Stab(O)| S_O^2; for a trivial G (all
+# labels distinct, or the bound) it is the squared sum sum_j w(j) C(j)^2.
 
 
-class _Cores(dict):
-    """Core lookup that names the offending multi-index when absent."""
-
-    def __missing__(self, j):
-        raise MissingCoefficientError(
-            f"coefficient table does not cover multi-index {j}; "
-            "recompute it with a large enough truncation order")
-
-
-def _core_map(table: Mapping[MultiIndex, CoeffValue]) -> "_Cores":
-    return _Cores((j, cv.core) for j, cv in table.items())
+def _missing(j: MultiIndex) -> MissingCoefficientError:
+    return MissingCoefficientError(
+        f"coefficient table does not cover multi-index {j}; "
+        "recompute it with a large enough truncation order")
 
 
 def _resolve_table(w: WeightSpec, p: int,
@@ -287,32 +251,86 @@ def _resolve_table(w: WeightSpec, p: int,
     return table
 
 
+@lru_cache(maxsize=256)
+def _origin_core(exponents: tuple[int, ...]) -> Fraction:
+    return _simplex_core((0,) * len(exponents), exponents)
+
+
+def _check_table(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec):
+    """Reject a table built for other weights, judged by its (0, ..., 0) entry."""
+    origin = (0,) * w.k
+    cv = table.get(origin)
+    if cv is None:
+        raise _missing(origin)
+    sum_q = sum(w.exponents)
+    if (cv.half_power, cv.two_power) != (w.k + 2 * sum_q, w.k + sum_q) \
+            or cv.core != _origin_core(w.exponents):
+        raise ValueError(
+            f"coefficient table was not built for weight exponents {w.exponents}")
+
+
+@lru_cache(maxsize=4096)
+def _stabilizer(modes: tuple[int, ...]) -> int:
+    """Permutations of one block's sorted modes that leave them unchanged."""
+    return math.prod(math.factorial(len(list(run)))
+                     for _, run in itertools.groupby(modes))
+
+
+def _orbit_sums(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec,
+                ranges: Sequence[range],
+                blocks: Sequence[Sequence[int]]) -> tuple[Fraction, Fraction]:
+    """The orbit sum and the squared sum over the multi-indices in ``ranges``.
+
+    Orbits are those of the permutations within each of ``blocks``. Cores are
+    scaled to integers over the lcm D of their denominators, both sums are
+    accumulated in integers, and each is divided by D^2 once at the end.
+    """
+    _check_table(table, w)
+    index = list(itertools.product(*ranges))
+    try:
+        cores = [table[j].core for j in index]
+    except KeyError as exc:
+        raise _missing(exc.args[0]) from None
+    dens = {c.denominator for c in cores}
+    lcm = math.lcm(*dens)
+    scale = {d: lcm // d for d in dens}
+    nums = [c.numerator * scale[c.denominator] for c in cores]
+    weights = [1]
+    for modes in ranges:
+        weights = [a * (2 * m + 1) for a in weights for m in modes]
+    squares = sum(wt * n * n for wt, n in zip(weights, nums))
+    orbit = squares
+    groups = [operator.itemgetter(*b) for b in blocks if len(b) > 1]
+    if groups:
+        # orbit key: the modes at singleton positions, then the sorted modes
+        # of each larger block
+        singles = [pos for b in blocks if len(b) == 1 for pos in b]
+        rest = operator.itemgetter(*singles) if singles else (lambda j: ())
+        sorted_modes: dict[tuple[int, ...], tuple[int, ...]] = {}
+        sums: dict[tuple, int] = {}
+        orbit_weight: dict[tuple, int] = {}
+        for j, wt, n in zip(index, weights, nums):
+            if n:
+                key = [rest(j)]
+                for take in groups:
+                    modes = take(j)
+                    canon = sorted_modes.get(modes)
+                    if canon is None:
+                        canon = sorted_modes[modes] = tuple(sorted(modes))
+                    key.append(canon)
+                key = tuple(key)
+                sums[key] = sums.get(key, 0) + n
+                orbit_weight[key] = wt
+        orbit = sum(orbit_weight[key] * math.prod(map(_stabilizer, key[1:]))
+                    * s * s for key, s in sums.items())
+    return Fraction(orbit, lcm * lcm), Fraction(squares, lcm * lcm)
+
+
 def _error_core(kernel_core: Fraction, double_sum: Fraction,
                 k: int, sum_q: int) -> Fraction:
     m = k + 2 * sum_q
     return kernel_core * Fraction(1, 2 ** m) \
         - double_sum * Fraction(1, 2 ** (2 * (k + sum_q)))
-
-
-def _weighted(j: MultiIndex) -> int:
-    w = 1
-    for mode in j:
-        w *= 2 * mode + 1
-    return w
-
-
-def _report(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
-            error_core: Fraction,
-            table: Mapping[MultiIndex, CoeffValue]) -> MseReport:
-    m = w.k + 2 * sum(w.exponents)
-    exact = error_core * interval.length ** m
-    norm = kernel_norm(w)
-    bound = mse_bound(pattern, (p,) * pattern.k, w, interval, table=table)
-    return MseReport(
-        pattern=pattern, p=p, weights=w, interval=interval,
-        exact_mse=float(exact), exact_mse_rational=exact,
-        bound=bound, kernel_norm=norm.value(interval),
-        case_id=classify_case(pattern))
 
 
 def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
@@ -329,38 +347,12 @@ def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
 def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
               *, table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
               cache_dir=None) -> MseReport:
-    """Exact mean-square truncation error via the permutation engine.
+    """Exact mean-square truncation error via the orbit-sum engine.
 
     Requires an all-Wiener pattern. ``table`` may supply precomputed
-    coefficients (any table covering modes 0..p works).
-    """
-    _check_exact_args(pattern, w)
-    perms = list(allowed_permutations(pattern))
-    table = _resolve_table(w, p, table, cache_dir)
-    cores = _core_map(table)
-    total = Fraction(0)
-    for j in itertools.product(range(p + 1), repeat=pattern.k):
-        cj = cores[j]
-        if not cj:
-            continue
-        inner = Fraction(0)
-        for sigma in perms:
-            inner += cores[tuple(j[s] for s in sigma)]
-        if inner:
-            total += _weighted(j) * cj * inner
-    core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
-    return _report(pattern, p, w, interval, core, table)
-
-
-def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
-                        interval: Interval, *,
-                        table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
-                        cache_dir=None) -> MseReport:
-    """Exact error from the transcribed case catalog (oracle route).
-
-    Evaluates the nested permutation sums exactly as written in the
-    catalog entry matching the pattern; exists to cross-check
-    ``exact_mse`` and fails for patterns outside the catalog.
+    coefficients (any table covering modes 0..p works); a table built for
+    other weights raises ValueError. The report's bound comes from the same
+    pass over the table.
     """
     _check_exact_args(pattern, w)
     if pattern.zero_positions:
@@ -368,34 +360,20 @@ def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
             "exact mean-square error is defined for Wiener components only "
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
-    info = _CASE_BY_KEY.get((pattern.k, pattern.coincidence_key))
-    if info is None:
-        raise PatternScopeError(
-            f"pattern {pattern.labels} matches no catalog case "
-            f"(multiplicities 1..{CERTIFIED_MAX_K} only)")
     table = _resolve_table(w, p, table, cache_dir)
-    cores = _core_map(table)
-
-    def nested(j: MultiIndex, depth: int) -> Fraction:
-        if depth == len(info.subsets):
-            return cores[j]
-        subset = info.subsets[depth]
-        total = Fraction(0)
-        for image in itertools.permutations(subset):
-            jj = list(j)
-            for tgt, src in zip(subset, image):
-                jj[tgt] = j[src]
-            total += nested(tuple(jj), depth + 1)
-        return total
-
-    total = Fraction(0)
-    for j in itertools.product(range(p + 1), repeat=pattern.k):
-        cj = cores[j]
-        if not cj:
-            continue
-        total += _weighted(j) * cj * nested(j, 0)
-    core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
-    return _report(pattern, p, w, interval, core, table)
+    orbit, squares = _orbit_sums(table, w, (range(p + 1),) * w.k,
+                                 pattern.blocks)
+    norm = kernel_norm(w)
+    sum_q = sum(w.exponents)
+    scale = interval.length ** (w.k + 2 * sum_q)
+    exact = _error_core(norm.core, orbit, w.k, sum_q) * scale
+    bound = math.factorial(w.k) * _error_core(norm.core, squares, w.k, sum_q) \
+        * scale
+    return MseReport(
+        pattern=pattern, p=p, weights=w, interval=interval,
+        exact_mse=float(exact), exact_mse_rational=exact,
+        bound=float(bound), kernel_norm=norm.value(interval),
+        case_id=classify_case(pattern))
 
 
 def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
@@ -406,7 +384,7 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
 
     Supports unequal per-level truncations. Patterns with time components
     (label 0) require interval length strictly below 1; the bound does not
-    apply otherwise.
+    apply otherwise. A table built for other weights raises ValueError.
     """
     p_levels = tuple(int(p) for p in p_levels)
     if len(p_levels) != pattern.k:
@@ -424,15 +402,11 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
         raise PatternScopeError(
             "patterns with time components (label 0) are bounded only for "
             f"interval length < 1, got length {interval.length}")
-    cores = _core_map(_resolve_table(w, max(p_levels), table, cache_dir))
-    total = Fraction(0)
-    for j in itertools.product(*(range(p + 1) for p in p_levels)):
-        cj = cores[j]
-        if cj:
-            total += _weighted(j) * cj * cj
-    core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
-    m = w.k + 2 * sum(w.exponents)
-    return math.factorial(pattern.k) * core * interval.length ** m
+    table = _resolve_table(w, max(p_levels), table, cache_dir)
+    _, squares = _orbit_sums(table, w, tuple(range(p + 1) for p in p_levels), ())
+    sum_q = sum(w.exponents)
+    core = _error_core(kernel_norm(w).core, squares, w.k, sum_q)
+    return math.factorial(pattern.k) * core * interval.length ** (w.k + 2 * sum_q)
 
 
 def mse_bound(pattern: IndexPattern, p_levels: Iterable[int], w: WeightSpec,

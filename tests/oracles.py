@@ -1,13 +1,41 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here is deliberately computed without the package's exact
-antidifferentiation or permutation machinery: hand-transcribed term lists,
-closed forms, brute-force enumeration, and numerical quadrature.
+antidifferentiation or orbit-sum machinery: hand-transcribed term lists,
+closed forms, brute-force enumeration over permutation groups, and
+numerical quadrature.
 """
 
+import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Optional
 
 import numpy as np
+
+from itolegendre.coeffs import (
+    CoeffValue,
+    Interval,
+    MultiIndex,
+    WeightSpec,
+    kernel_norm,
+)
+from itolegendre.expansion import (
+    CERTIFIED_MAX_K,
+    IndexPattern,
+    MissingCoefficientError,
+)
+from itolegendre.msekit import (
+    _CASE_BY_KEY,
+    MseReport,
+    PatternScopeError,
+    _check_exact_args,
+    _error_core,
+    _resolve_table,
+    classify_case,
+    mse_bound,
+)
 
 F = Fraction
 
@@ -130,3 +158,153 @@ def gauss_coefficient(j, w, interval, nodes=24):
         return half * float(wts @ vals)
 
     return level(len(j) - 1, float(interval.T))
+
+
+# --- permutation and catalog routes to the exact error ----------------------
+#
+# The literal evaluation of I_k - sum_j C(j) sum_sigma C(sigma j): once with
+# the block permutation group enumerated explicitly, once with the nested
+# permutation sums of the transcribed case catalog. Both are independent of
+# the package's orbit-sum engine.
+
+
+@dataclass(frozen=True)
+class BlockPermutations:
+    """Position permutations preserving a pattern's coincidence structure."""
+
+    k: int
+    blocks: tuple[tuple[int, ...], ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(math.factorial(len(b)) for b in self.blocks)
+
+    def __iter__(self):
+        """Yield permutations as source-position tuples sigma, so that the
+        permuted multi-index is tuple(j[sigma[l]] for l in range(k))."""
+        per_block = [list(itertools.permutations(b)) for b in self.blocks]
+        for choice in itertools.product(*per_block):
+            sigma = list(range(self.k))
+            for block, image in zip(self.blocks, choice):
+                for tgt, src in zip(block, image):
+                    sigma[tgt] = src
+            yield tuple(sigma)
+
+
+def allowed_permutations(pattern: IndexPattern) -> BlockPermutations:
+    """Permutations entering the exact error for an all-Wiener pattern.
+
+    Positions may be permuted freely within each equality block; the group
+    size is the product of the block factorials. Patterns containing the
+    time component are rejected: their exact error is not defined here,
+    only the upper bound applies (see ``mse_bound``).
+    """
+    if pattern.zero_positions:
+        raise PatternScopeError(
+            "exact mean-square error is defined for Wiener components only "
+            "(all labels >= 1); for patterns with time components (label 0) "
+            "use the upper bound instead")
+    return BlockPermutations(k=pattern.k, blocks=pattern.blocks)
+
+
+class _Cores(dict):
+    """Core lookup that names the offending multi-index when absent."""
+
+    def __missing__(self, j):
+        raise MissingCoefficientError(
+            f"coefficient table does not cover multi-index {j}; "
+            "recompute it with a large enough truncation order")
+
+
+def _core_map(table: Mapping[MultiIndex, CoeffValue]) -> "_Cores":
+    return _Cores((j, cv.core) for j, cv in table.items())
+
+
+def _weighted(j: MultiIndex) -> int:
+    w = 1
+    for mode in j:
+        w *= 2 * mode + 1
+    return w
+
+
+def _report(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
+            error_core: Fraction,
+            table: Mapping[MultiIndex, CoeffValue]) -> MseReport:
+    m = w.k + 2 * sum(w.exponents)
+    exact = error_core * interval.length ** m
+    norm = kernel_norm(w)
+    bound = mse_bound(pattern, (p,) * pattern.k, w, interval, table=table)
+    return MseReport(
+        pattern=pattern, p=p, weights=w, interval=interval,
+        exact_mse=float(exact), exact_mse_rational=exact,
+        bound=bound, kernel_norm=norm.value(interval),
+        case_id=classify_case(pattern))
+
+
+def permutation_mse(pattern: IndexPattern, p: int, w: WeightSpec,
+                    interval: Interval, *,
+                    table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+                    cache_dir=None) -> MseReport:
+    """Exact error from the explicitly enumerated permutation group."""
+    _check_exact_args(pattern, w)
+    perms = list(allowed_permutations(pattern))
+    table = _resolve_table(w, p, table, cache_dir)
+    cores = _core_map(table)
+    total = Fraction(0)
+    for j in itertools.product(range(p + 1), repeat=pattern.k):
+        cj = cores[j]
+        if not cj:
+            continue
+        inner = Fraction(0)
+        for sigma in perms:
+            inner += cores[tuple(j[s] for s in sigma)]
+        if inner:
+            total += _weighted(j) * cj * inner
+    core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
+    return _report(pattern, p, w, interval, core, table)
+
+
+def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
+                        interval: Interval, *,
+                        table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+                        cache_dir=None) -> MseReport:
+    """Exact error from the transcribed case catalog (oracle route).
+
+    Evaluates the nested permutation sums exactly as written in the
+    catalog entry matching the pattern; exists to cross-check
+    ``exact_mse`` and fails for patterns outside the catalog.
+    """
+    _check_exact_args(pattern, w)
+    if pattern.zero_positions:
+        raise PatternScopeError(
+            "exact mean-square error is defined for Wiener components only "
+            "(all labels >= 1); for patterns with time components (label 0) "
+            "use the upper bound instead")
+    info = _CASE_BY_KEY.get((pattern.k, pattern.coincidence_key))
+    if info is None:
+        raise PatternScopeError(
+            f"pattern {pattern.labels} matches no catalog case "
+            f"(multiplicities 1..{CERTIFIED_MAX_K} only)")
+    table = _resolve_table(w, p, table, cache_dir)
+    cores = _core_map(table)
+
+    def nested(j: MultiIndex, depth: int) -> Fraction:
+        if depth == len(info.subsets):
+            return cores[j]
+        subset = info.subsets[depth]
+        total = Fraction(0)
+        for image in itertools.permutations(subset):
+            jj = list(j)
+            for tgt, src in zip(subset, image):
+                jj[tgt] = j[src]
+            total += nested(tuple(jj), depth + 1)
+        return total
+
+    total = Fraction(0)
+    for j in itertools.product(range(p + 1), repeat=pattern.k):
+        cj = cores[j]
+        if not cj:
+            continue
+        total += _weighted(j) * cj * nested(j, 0)
+    core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
+    return _report(pattern, p, w, interval, core, table)

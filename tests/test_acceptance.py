@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    enumerated_case_mse,
     expected_terms,
     patterns_with_time,
     series_pair_error,
@@ -38,7 +39,6 @@ from itolegendre.expansion import (
 )
 from itolegendre.montecarlo import McConfig, empirical_mse
 from itolegendre.msekit import (
-    enumerated_case_mse,
     exact_mse,
     list_cases,
     mse_bound_exact,

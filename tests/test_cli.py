@@ -144,6 +144,16 @@ def test_validate_repeated_seed_is_identical(capsys):
     assert abs(one["result"]["z_score"]) < 6
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_validate_rejects_threads_below_one(capsys, threads):
+    code, out, err = run(capsys, "validate", "--pattern", "1,2", "--p", "0",
+                         "--n-paths", "10", "--n-steps", "8",
+                         "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
 def test_validate_tiny_sample_warns(capsys):
     code, out, err = run(capsys, "validate", "--pattern", "1,2", "--p", "0",
                          "--n-paths", "10", "--n-steps", "64", "--seed", "1")

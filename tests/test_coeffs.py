@@ -261,6 +261,32 @@ def test_cache_round_trip(tmp_path):
     assert reloaded == table
 
 
+def test_save_table_does_not_write_through_a_fixed_temp_name(tmp_path):
+    # a directory squatting on the old fixed name <key>.json.tmp
+    w = WeightSpec.unit(2)
+    table = coefficient_table(w, 1)
+    path = tmp_path / "table.json"
+    (tmp_path / "table.json.tmp").mkdir()
+    save_table(path, w, 1, table)
+    assert load_table(path)[2] == table
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["table.json", "table.json.tmp"]
+
+
+def test_save_table_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
+    import itolegendre.coeffs as coeffs
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    w = WeightSpec.unit(2)
+    table = coefficient_table(w, 1)
+    monkeypatch.setattr(coeffs.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_table(tmp_path / "table.json", w, 1, table)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coefficient_table_uses_cache_dir(tmp_path, monkeypatch):
     w = WeightSpec.unit(2)
     first = coefficient_table(w, 2, cache_dir=tmp_path)

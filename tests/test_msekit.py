@@ -1,24 +1,32 @@
-"""Exact error engine vs the transcribed case catalog and the bound."""
+"""Exact error engine vs the permutation and catalog oracles and the bound."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table, kernel_norm
-from itolegendre.expansion import IndexPattern
+from itolegendre.expansion import IndexPattern, MissingCoefficientError
 from itolegendre.msekit import (
     PatternScopeError,
-    allowed_permutations,
     classify_case,
-    enumerated_case_mse,
     exact_mse,
     list_cases,
     mse_bound,
     mse_bound_exact,
 )
 
-from oracles import series_pair_error, set_partitions, telescoped_pair_error
+from oracles import (
+    allowed_permutations,
+    enumerated_case_mse,
+    permutation_mse,
+    series_pair_error,
+    set_partitions,
+    telescoped_pair_error,
+)
 
 F = Fraction
 UNIT = Interval.from_length(1)
@@ -71,6 +79,40 @@ def test_exact_mse_accepts_superset_table():
     direct = exact_mse(IndexPattern((1, 2)), 2, w, UNIT)
     reused = exact_mse(IndexPattern((1, 2)), 2, w, UNIT, table=table)
     assert direct.exact_mse_rational == reused.exact_mse_rational
+
+
+def test_exact_mse_rejects_table_built_for_other_weights():
+    # the q=(2,0) table once gave 901/7350 here instead of 1/20
+    w = WeightSpec.unit(2)
+    wrong = coefficient_table(WeightSpec((2, 0)), 2)
+    assert exact_mse(IndexPattern((1, 2)), 2, w, UNIT).exact_mse_rational \
+        == F(1, 20)
+    with pytest.raises(ValueError, match="weight exponents"):
+        exact_mse(IndexPattern((1, 2)), 2, w, UNIT, table=wrong)
+    with pytest.raises(ValueError, match="weight exponents"):
+        mse_bound_exact(IndexPattern((1, 2)), (2, 2), w, UNIT, table=wrong)
+
+
+def test_table_check_compares_the_origin_core():
+    # (1, 0) and (0, 1) share every scale factor; only the cores differ
+    w = WeightSpec((0, 1))
+    swapped = coefficient_table(WeightSpec((1, 0)), 1)
+    with pytest.raises(ValueError, match="weight exponents"):
+        exact_mse(IndexPattern((1, 2)), 1, w, UNIT, table=swapped)
+    with pytest.raises(ValueError, match="weight exponents"):
+        mse_bound_exact(IndexPattern((1, 2)), (1, 1), w, UNIT, table=swapped)
+
+
+def test_short_table_names_first_missing_multi_index():
+    w = WeightSpec.unit(2)
+    table = coefficient_table(w, 1)
+    with pytest.raises(MissingCoefficientError, match=r"\(0, 2\)"):
+        exact_mse(IndexPattern((1, 1)), 2, w, UNIT, table=table)
+    with pytest.raises(MissingCoefficientError, match=r"\(0, 2\)"):
+        mse_bound_exact(IndexPattern((1, 2)), (1, 2), w, UNIT, table=table)
+    with pytest.raises(MissingCoefficientError, match=r"\(0, 0, 0\)"):
+        exact_mse(IndexPattern((1, 2, 3)), 0, WeightSpec.unit(3), UNIT,
+                  table=table)
 
 
 # --- permutation groups ------------------------------------------------------
@@ -287,3 +329,77 @@ def test_classify_none_outside_catalog():
 def test_list_cases_rejects_large_multiplicity():
     with pytest.raises(PatternScopeError):
         list_cases(6)
+
+
+# --- properties over random patterns -----------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _table(exponents):
+    return coefficient_table(WeightSpec(exponents), 3)
+
+
+@st.composite
+def cases(draw):
+    """A random pattern of multiplicity 1..5 with weights, order and length."""
+    k = draw(st.integers(1, 5))
+    labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
+    exponents = tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                    max_size=k)))
+    p = draw(st.integers(0, 3))
+    length = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return IndexPattern(labels), WeightSpec(exponents), p, length
+
+
+@settings(max_examples=40, deadline=None)
+@given(cases())
+def test_orbit_engine_equals_permutation_and_catalog_oracles(case):
+    pattern, w, p, length = case
+    interval = Interval.from_length(length)
+    table = _table(w.exponents)
+    engine = exact_mse(pattern, p, w, interval, table=table)
+    by_group = permutation_mse(pattern, p, w, interval, table=table)
+    by_catalog = enumerated_case_mse(pattern, p, w, interval, table=table)
+    assert engine.exact_mse_rational == by_group.exact_mse_rational
+    assert engine.exact_mse_rational == by_catalog.exact_mse_rational
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_exact_error_lies_between_zero_and_the_bound(case):
+    pattern, w, p, length = case
+    interval = Interval.from_length(length)
+    table = _table(w.exponents)
+    report = exact_mse(pattern, p, w, interval, table=table)
+    bound = mse_bound_exact(pattern, (p,) * pattern.k, w, interval,
+                            table=table)
+    assert 0 <= report.exact_mse_rational <= bound
+    assert 0 <= report.exact_mse <= report.bound
+    assert report.bound == float(bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_exact_error_scales_with_length_power(case):
+    pattern, w, p, length = case
+    table = _table(w.exponents)
+    m = w.k + 2 * sum(w.exponents)
+    once = exact_mse(pattern, p, w, Interval.from_length(length), table=table)
+    twice = exact_mse(pattern, p, w, Interval.from_length(2 * length),
+                      table=table)
+    assert twice.exact_mse_rational == 2 ** m * once.exact_mse_rational
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.permutations(range(1, 6)), st.integers(0, 20))
+def test_exact_error_is_invariant_under_relabelling(case, image, shift):
+    pattern, w, p, length = case
+    interval = Interval.from_length(length)
+    table = _table(w.exponents)
+    relabelled = IndexPattern(tuple(image[i - 1] + shift
+                                    for i in pattern.labels))
+    a = exact_mse(pattern, p, w, interval, table=table)
+    b = exact_mse(relabelled, p, w, interval, table=table)
+    assert a.exact_mse_rational == b.exact_mse_rational
+    assert a.bound == b.bound
+    assert a.case_id == b.case_id
