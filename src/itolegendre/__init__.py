@@ -15,7 +15,6 @@ from .coeffs import (
     DegreeCapError,
     Interval,
     WeightSpec,
-    basis_phi,
     coefficient_table,
     fourier_coefficient,
     kernel_norm,
@@ -29,6 +28,7 @@ from .expansion import (
     MatchingTerm,
     MissingCoefficientError,
     enumerate_matchings,
+    expansion_plan,
     realize,
     sample_draw,
 )
@@ -50,7 +50,7 @@ from .msekit import (
     mse_bound,
     mse_bound_exact,
 )
-from .polycore import Poly, Rational, definite_integral, legendre, poly_mul
+from .polycore import Poly, Rational, legendre
 
 __all__ = [
     "CacheIntegrityError",
@@ -70,13 +70,12 @@ __all__ = [
     "Poly",
     "Rational",
     "WeightSpec",
-    "basis_phi",
     "classify_case",
     "coefficient_table",
-    "definite_integral",
     "empirical_mse",
     "enumerate_matchings",
     "exact_mse",
+    "expansion_plan",
     "fourier_coefficient",
     "kernel_norm",
     "legendre",
@@ -84,7 +83,6 @@ __all__ = [
     "load_table",
     "mse_bound",
     "mse_bound_exact",
-    "poly_mul",
     "realize",
     "run_report",
     "sample_draw",

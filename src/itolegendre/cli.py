@@ -105,31 +105,21 @@ def cmd_coeffs(args) -> int:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     w = _parse_exponents(args.q, args.k)
     interval = _parse_interval(args.len)
-    table = coefficient_table(w, args.p)
-    rows = []
-    for j, cv in table.items():
-        row = {f"j{l + 1}": j[l] for l in range(w.k)}
-        row.update({
-            "core": cv.core,
-            "half_power": cv.half_power,
-            "two_power": cv.two_power,
-            "value": cv.value(interval),
-        })
-        rows.append(row)
+    results = [
+        {"j": list(j), "core": str(cv.core),
+         "half_power": cv.half_power, "two_power": cv.two_power,
+         "value": cv.value(interval)}
+        for j, cv in coefficient_table(w, args.p).items()
+    ]
+    rows = [{f"j{l + 1}": m for l, m in enumerate(r["j"])}
+            | {key: v for key, v in r.items() if key != "j"} for r in results]
     doc = {
         "manifest": _manifest("coeffs", {
             "k": args.k, "q": list(w.exponents), "p": args.p,
             "len": str(interval.length)}, None),
-        "results": [
-            {"j": list(j), "core": str(cv.core),
-             "half_power": cv.half_power, "two_power": cv.two_power,
-             "value": cv.value(interval)}
-            for j, cv in table.items()
-        ],
+        "results": results,
     }
-    fieldnames = [f"j{l + 1}" for l in range(w.k)] \
-        + ["core", "half_power", "two_power", "value"]
-    _emit(doc, rows, fieldnames, args.format, args.out)
+    _emit(doc, rows, list(rows[0]), args.format, args.out)
     return 0
 
 

@@ -5,7 +5,9 @@ restricted to the ordered region t_1 < ... < t_k. Its projection onto a
 product of orthonormal Legendre basis functions is computed exactly by
 nested antidifferentiation on [-1, 1]^k and stored scale-free: a rational
 core together with sqrt, interval-power and dyadic factors. One table
-therefore serves every interval length.
+therefore serves every interval length. ``orbit_sums`` adds the cores of
+a table, as exact integers, over the orbits of a pattern's block
+permutations; the exact error and the expansion both read them.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
 ``save_table`` / ``load_table``. The cache directory defaults to the
@@ -15,17 +17,17 @@ Coefficient tables can be persisted as checksummed JSON documents; see
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
-
-import numpy as np
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .polycore import ONE, Poly, RationalLike, legendre
 
@@ -43,6 +45,10 @@ class DegreeCapError(ValueError):
 
 class CacheIntegrityError(RuntimeError):
     """A coefficient cache file is unreadable or fails its checksum."""
+
+
+class MissingCoefficientError(LookupError):
+    """A computation requested a coefficient absent from the table."""
 
 
 @dataclass(frozen=True)
@@ -126,34 +132,6 @@ class CoeffValue:
         return v
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """Orthonormal Legendre basis function phi_j on an interval.
-
-    phi_j(s) = sqrt((2j + 1) / (T - t)) * P_j(2 (s - t) / (T - t) - 1),
-    so that the family is orthonormal in L2([t, T]).
-    """
-
-    mode: int
-    interval: Interval
-
-    def __call__(self, s):
-        length = float(self.interval.length)
-        x = 2.0 * (np.asarray(s, dtype=float) - float(self.interval.t)) / length - 1.0
-        coeffs = np.zeros(self.mode + 1)
-        coeffs[-1] = 1.0
-        out = np.polynomial.legendre.legval(x, coeffs) \
-            * math.sqrt((2 * self.mode + 1) / length)
-        return float(out) if out.ndim == 0 else out
-
-
-def basis_phi(j: int, interval: Interval) -> BasisFunction:
-    """The j-th orthonormal basis function on the interval."""
-    if j < 0:
-        raise ValueError(f"mode must be nonnegative, got {j}")
-    return BasisFunction(mode=j, interval=interval)
-
-
 @lru_cache(maxsize=None)
 def _xp1_pow(q: int) -> Poly:
     # (x + 1) ** q
@@ -206,6 +184,7 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
     )
 
 
+@lru_cache(maxsize=256)
 def kernel_norm(w: WeightSpec) -> CoeffValue:
     """Exact squared L2 norm of the simplex kernel, in the same split.
 
@@ -279,6 +258,60 @@ def coefficient_table(w: WeightSpec, p: int, *,
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(path, w, p, table, degree_cap=degree_cap)
     return table
+
+
+def integer_cores(table: Mapping[MultiIndex, CoeffValue],
+                  ranges: Sequence[range],
+                  ) -> tuple[list[MultiIndex], list[int], int]:
+    """The multi-indices over ``ranges`` and their cores as integers over D.
+
+    D, returned last, is the lcm of the cores' denominators. A multi-index
+    absent from the table raises MissingCoefficientError naming it.
+    """
+    index = list(itertools.product(*ranges))
+    try:
+        cores = [table[j].core for j in index]
+    except KeyError as exc:
+        raise MissingCoefficientError(
+            f"coefficient table does not cover multi-index {exc.args[0]}; "
+            "recompute it with a large enough truncation order") from None
+    dens = {c.denominator for c in cores}
+    lcm = math.lcm(*dens)
+    scale = {d: lcm // d for d in dens}
+    return index, [c.numerator * scale[c.denominator] for c in cores], lcm
+
+
+def orbit_sums(index: Sequence[MultiIndex], nums: Sequence[int],
+               blocks: Sequence[Sequence[int]]) -> dict[tuple, list]:
+    """Integer core sums over the orbits of the permutations within blocks.
+
+    Maps each orbit's key, the modes at the positions outside every block
+    of two or more followed by the sorted modes of each such block, to
+    [S, j]: the sum S of ``nums`` over the orbit and its first member j in
+    ``index``. Zero cores are skipped, so an orbit of zeros is absent.
+    """
+    groups = [operator.itemgetter(*b) for b in blocks if len(b) > 1]
+    grouped = {pos for b in blocks if len(b) > 1 for pos in b}
+    singles = [pos for pos in range(len(index[0])) if pos not in grouped]
+    rest = operator.itemgetter(*singles) if singles else (lambda j: ())
+    sorted_modes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    sums: dict[tuple, list] = {}
+    for j, n in zip(index, nums):
+        if n:
+            key = [rest(j)]
+            for take in groups:
+                modes = take(j)
+                canon = sorted_modes.get(modes)
+                if canon is None:
+                    canon = sorted_modes[modes] = tuple(sorted(modes))
+                key.append(canon)
+            key = tuple(key)
+            entry = sums.get(key)
+            if entry is None:
+                sums[key] = [n, j]
+            else:
+                entry[0] += n
+    return sums
 
 
 def table_key(w: WeightSpec, p: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> str:

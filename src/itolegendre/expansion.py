@@ -8,11 +8,16 @@ share a nonzero component label contributes a signed term, the sign being
 (-1)^(number of pairs). This generator reproduces the hand-written
 expansions for multiplicities 1 through 5 term by term; larger
 multiplicities are produced by the same rule but are flagged experimental.
+
+``expansion_plan`` sums the cores over the orbits of the pattern's block
+permutations in exact integers (``coeffs.orbit_sums``, as the exact error
+does) and rounds once per orbit, so cancellations such as C(0,1) + C(1,0)
+= 0 hold by construction. ``realize`` and the Monte Carlo both evaluate
+their draws through such a plan.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,17 +25,21 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .coeffs import CoeffValue, Interval, MultiIndex
+from .coeffs import (
+    CoeffValue,
+    Interval,
+    MissingCoefficientError,  # raised by integer_cores; re-exported here
+    MultiIndex,
+    integer_cores,
+    orbit_sums,
+)
 
 CERTIFIED_MAX_K = 5
+CHUNK_FLOATS = 4_194_304  # floats per work unit: paths x steps, gathers
 
 
 class ExperimentalWarning(UserWarning):
     """Raised for multiplicities beyond the certified range."""
-
-
-class MissingCoefficientError(LookupError):
-    """A realization requested a coefficient absent from the table."""
 
 
 @dataclass(frozen=True)
@@ -164,34 +173,101 @@ def sample_draw(pattern: IndexPattern, p: int, seed: int,
     return GaussianDraw(length=length, zeta=zeta)
 
 
+@dataclass(frozen=True, eq=False)
+class ExpansionPlan:
+    """The truncated expansion at order p, summed over orbits in advance.
+
+    One entry per orbit with a nonzero core sum: its length-free
+    coefficient and the signed matching terms active at one member, each
+    term k columns into the concatenated zeta rows (distinct labels sorted,
+    p + 1 modes each) padded by a trailing column of ones.
+    """
+
+    labels: tuple[int, ...]
+    p: int
+    half_power: int
+    coefficients: np.ndarray  # per orbit
+    bounds: np.ndarray  # per orbit, then the end: first term of each
+    columns: np.ndarray  # per term
+    signs: np.ndarray  # per term
+
+    def values(self, zeta: Mapping[int, np.ndarray],
+               length: float) -> np.ndarray:
+        """Expansion values for a batch of draws, one row of ``zeta`` each.
+
+        Each orbit's bracket of terms is summed before it is multiplied by
+        the orbit's coefficient; gathered factors stay within CHUNK_FLOATS.
+        """
+        width = self.p + 1
+        rows = [np.atleast_2d(zeta[label]) for label in self.labels]
+        if min(row.shape[1] for row in rows) < width:
+            raise ValueError(f"the draw has fewer than the {width} modes "
+                             "the expansion needs")
+        n = len(rows[0])
+        z = np.concatenate([row[:, :width] for row in rows]
+                           + [np.ones((n, 1))], axis=1)
+        coef = self.coefficients * length ** (self.half_power // 2) \
+            * (math.sqrt(length) if self.half_power % 2 else 1.0)
+        per_block = max(1, CHUNK_FLOATS // (n * self.columns.shape[1]))
+        out = np.zeros(n)
+        lo, ends = 0, self.bounds
+        while lo < len(coef):  # blocks of whole orbits, at least one each
+            hi = max(lo + 1, int(np.searchsorted(
+                ends, ends[lo] + per_block, side="right")) - 1)
+            t0, t1 = ends[lo], ends[hi]
+            prods = z[:, self.columns[t0:t1]].prod(axis=2) * self.signs[t0:t1]
+            brackets = np.add.reduceat(prods, ends[lo:hi] - t0, axis=1)
+            out += (brackets * coef[lo:hi]).sum(axis=1)
+            lo = hi
+        return out
+
+
+def expansion_plan(pattern: IndexPattern, p: int,
+                   table: Mapping[MultiIndex, CoeffValue]) -> ExpansionPlan:
+    """Orbit-summed plan of the truncated expansion at order p.
+
+    Terms for j and for a block permutation of j are the same random
+    variable, so the cores are summed over each orbit as exact integers
+    over their lcm D and converted to a float once per orbit; orbits whose
+    sum is exactly zero, such as every orbit but (0, 0) of an equal pair,
+    are dropped.
+    """
+    k = pattern.k
+    terms = enumerate_matchings(pattern)
+    labels = tuple(sorted(set(pattern.labels)))
+    offset = [labels.index(label) * (p + 1) for label in pattern.labels]
+    index, nums, lcm = integer_cores(table, (range(p + 1),) * k)
+    sums = [(s, j) for s, j in orbit_sums(index, nums, pattern.blocks).values()
+            if s]
+    reps = np.array([j for _, j in sums], dtype=np.intp).reshape(-1, k)
+    origin = table[(0,) * k]
+    coefficients = np.array([s / lcm for s, _ in sums]) \
+        * 2.0 ** -origin.two_power * np.sqrt(np.prod(2 * reps + 1, axis=1))
+    # the matching terms active at each orbit's member, orbit by orbit
+    active = np.ones((len(reps), len(terms)), dtype=bool)
+    columns = np.full((len(reps), len(terms), k), len(labels) * (p + 1),
+                      dtype=np.intp)
+    for t, term in enumerate(terms):
+        for a, b in term.pairs:
+            active[:, t] &= reps[:, a] == reps[:, b]
+        for slot, pos in enumerate(term.free_positions):
+            columns[:, t, slot] = offset[pos] + reps[:, pos]
+    signs = np.array([float(term.sign) for term in terms])
+    return ExpansionPlan(
+        labels=labels, p=p, half_power=origin.half_power,
+        coefficients=coefficients,
+        bounds=np.concatenate(([0], np.cumsum(active.sum(axis=1)))),
+        columns=columns[active],
+        signs=np.broadcast_to(signs, active.shape)[active])
+
+
 def realize(pattern: IndexPattern, p: int,
             table: Mapping[MultiIndex, CoeffValue],
             draw: GaussianDraw) -> float:
-    """Value of the truncated expansion at truncation order p.
+    """Value of the truncated expansion at truncation order p on one draw.
 
-    Sums, over all multi-indices with entries 0..p, the reconstructed
-    coefficient times the bracket of signed matching terms evaluated on
-    the draw. Both the per-index bracket and the outer sum are compensated
-    (math.fsum), so algebraically cancelling contributions cancel exactly.
+    A batch of one through ``expansion_plan``; draw rows may carry more
+    than p + 1 modes.
     """
-    labels = pattern.labels
-    terms = enumerate_matchings(pattern)
-    pieces: list[float] = []
-    for j in itertools.product(range(p + 1), repeat=pattern.k):
-        cv = table.get(j)
-        if cv is None:
-            raise MissingCoefficientError(
-                f"table has no entry for multi-index {j}; "
-                f"recompute it with p >= {p}")
-        c = cv.value(draw.length)
-        if c == 0.0:
-            continue
-        bracket = []
-        for term in terms:
-            if all(j[a] == j[b] for a, b in term.pairs):
-                prod = 1.0
-                for pos in term.free_positions:
-                    prod *= draw.zeta[labels[pos]][j[pos]]
-                bracket.append(term.sign * prod)
-        pieces.append(c * math.fsum(bracket))
-    return math.fsum(pieces)
+    plan = expansion_plan(pattern, p, table)
+    return float(plan.values(draw.zeta, draw.length)[0])

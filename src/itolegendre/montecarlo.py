@@ -12,7 +12,6 @@ order-insensitive).
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,12 +21,11 @@ from typing import Mapping, NamedTuple, Optional, Union
 import numpy as np
 
 from .coeffs import CoeffValue, Interval, MultiIndex, WeightSpec, coefficient_table
-from .expansion import GaussianDraw, IndexPattern, enumerate_matchings
+from .expansion import CHUNK_FLOATS, GaussianDraw, IndexPattern, expansion_plan
 from .msekit import exact_mse
 
 MIN_PATHS = 100
 MIN_STEPS = 64
-_CHUNK_FLOATS = 4_194_304  # paths x steps per work unit
 _N_BATCHES = 100
 
 
@@ -117,13 +115,6 @@ def simulate_true_integral(path: Mapping[int, np.ndarray], w: WeightSpec,
     return out if batched else float(out[0])
 
 
-def _zeta_rows(increments: Mapping[int, np.ndarray], p: int,
-               interval: Interval) -> dict[int, np.ndarray]:
-    n_steps = next(iter(increments.values())).shape[-1]
-    phi = _phi_matrix(p, n_steps, interval)
-    return {label: row @ phi for label, row in increments.items()}
-
-
 def zetas_from_path(path: Mapping[int, np.ndarray], p: int,
                     interval: Interval) -> GaussianDraw:
     """Gaussian draw discretized from one path's increments (coupled).
@@ -132,36 +123,9 @@ def zetas_from_path(path: Mapping[int, np.ndarray], p: int,
     the same grid as ``simulate_true_integral``.
     """
     rows = {label: np.asarray(row, dtype=float) for label, row in path.items()}
+    phi = _phi_matrix(p, next(iter(rows.values())).shape[-1], interval)
     return GaussianDraw(length=float(interval.length),
-                        zeta=_zeta_rows(rows, p, interval))
-
-
-def _prepare_expansion(pattern: IndexPattern, p: int,
-                       table: Mapping[MultiIndex, CoeffValue],
-                       length: float):
-    terms = enumerate_matchings(pattern)
-    prepared = []
-    for j in itertools.product(range(p + 1), repeat=pattern.k):
-        c = table[j].value(length)
-        if c == 0.0:
-            continue
-        active = [(t.sign, t.free_positions) for t in terms
-                  if all(j[a] == j[b] for a, b in t.pairs)]
-        prepared.append((j, c, active))
-    return prepared
-
-
-def _expansion_values(prepared, labels: tuple[int, ...],
-                      zeta: Mapping[int, np.ndarray]) -> np.ndarray:
-    n = next(iter(zeta.values())).shape[0]
-    out = np.zeros(n)
-    for j, c, active in prepared:
-        for sign, free in active:
-            piece = np.full(n, sign * c)
-            for pos in free:
-                piece = piece * zeta[labels[pos]][:, j[pos]]
-            out += piece
-    return out
+                        zeta={label: row @ phi for label, row in rows.items()})
 
 
 def empirical_mse(cfg: McConfig, table: Mapping[MultiIndex, CoeffValue], *,
@@ -173,15 +137,14 @@ def empirical_mse(cfg: McConfig, table: Mapping[MultiIndex, CoeffValue], *,
     Identical configurations produce bit-identical results regardless of
     the thread count.
     """
-    labels = cfg.pattern.labels
-    distinct = sorted(set(labels))
+    distinct = sorted(set(cfg.pattern.labels))
     nonzero = [label for label in distinct if label != 0]
     length = float(cfg.interval.length)
     dt = length / cfg.n_steps
     phi = _phi_matrix(cfg.p, cfg.n_steps, cfg.interval)
-    prepared = _prepare_expansion(cfg.pattern, cfg.p, table, length)
+    plan = expansion_plan(cfg.pattern, cfg.p, table)
 
-    chunk = max(1, _CHUNK_FLOATS // cfg.n_steps)
+    chunk = max(1, CHUNK_FLOATS // cfg.n_steps)
     starts = range(0, cfg.n_paths, chunk)
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(starts))
     sq = np.empty(cfg.n_paths)
@@ -197,7 +160,7 @@ def empirical_mse(cfg: McConfig, table: Mapping[MultiIndex, CoeffValue], *,
             incr[0] = np.full((stop - start, cfg.n_steps), dt)
         j_true = _iterated_sums(incr, cfg.weights, cfg.pattern, cfg.interval)
         zeta = {label: row @ phi for label, row in incr.items()}
-        j_p = _expansion_values(prepared, labels, zeta)
+        j_p = plan.values(zeta, length)
         sq[start:stop] = (j_true - j_p) ** 2
 
     if threads > 1:

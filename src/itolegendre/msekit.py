@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,18 +31,16 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .coeffs import (
     CoeffValue,
     Interval,
+    MissingCoefficientError,
     MultiIndex,
     WeightSpec,
     _simplex_core,
     coefficient_table,
+    integer_cores,
     kernel_norm,
+    orbit_sums,
 )
-from .expansion import (
-    CERTIFIED_MAX_K,
-    ExperimentalWarning,
-    IndexPattern,
-    MissingCoefficientError,
-)
+from .expansion import CERTIFIED_MAX_K, ExperimentalWarning, IndexPattern
 
 
 class PatternScopeError(ValueError):
@@ -237,12 +234,6 @@ def classify_case(pattern: IndexPattern) -> Optional[str]:
 # labels distinct, or the bound) it is the squared sum sum_j w(j) C(j)^2.
 
 
-def _missing(j: MultiIndex) -> MissingCoefficientError:
-    return MissingCoefficientError(
-        f"coefficient table does not cover multi-index {j}; "
-        "recompute it with a large enough truncation order")
-
-
 def _resolve_table(w: WeightSpec, p: int,
                    table: Optional[Mapping[MultiIndex, CoeffValue]],
                    cache_dir) -> Mapping[MultiIndex, CoeffValue]:
@@ -261,7 +252,8 @@ def _check_table(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec):
     origin = (0,) * w.k
     cv = table.get(origin)
     if cv is None:
-        raise _missing(origin)
+        raise MissingCoefficientError(
+            f"coefficient table does not cover multi-index {origin}")
     sum_q = sum(w.exponents)
     if (cv.half_power, cv.two_power) != (w.k + 2 * sum_q, w.k + sum_q) \
             or cv.core != _origin_core(w.exponents):
@@ -279,50 +271,19 @@ def _stabilizer(modes: tuple[int, ...]) -> int:
 def _orbit_sums(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec,
                 ranges: Sequence[range],
                 blocks: Sequence[Sequence[int]]) -> tuple[Fraction, Fraction]:
-    """The orbit sum and the squared sum over the multi-indices in ``ranges``.
-
-    Orbits are those of the permutations within each of ``blocks``. Cores are
-    scaled to integers over the lcm D of their denominators, both sums are
-    accumulated in integers, and each is divided by D^2 once at the end.
-    """
+    """The orbit sum and the squared sum over the multi-indices in ``ranges``,
+    accumulated in integers over D^2 (see ``coeffs.orbit_sums``)."""
     _check_table(table, w)
-    index = list(itertools.product(*ranges))
-    try:
-        cores = [table[j].core for j in index]
-    except KeyError as exc:
-        raise _missing(exc.args[0]) from None
-    dens = {c.denominator for c in cores}
-    lcm = math.lcm(*dens)
-    scale = {d: lcm // d for d in dens}
-    nums = [c.numerator * scale[c.denominator] for c in cores]
+    index, nums, lcm = integer_cores(table, ranges)
     weights = [1]
     for modes in ranges:
         weights = [a * (2 * m + 1) for a in weights for m in modes]
     squares = sum(wt * n * n for wt, n in zip(weights, nums))
     orbit = squares
-    groups = [operator.itemgetter(*b) for b in blocks if len(b) > 1]
-    if groups:
-        # orbit key: the modes at singleton positions, then the sorted modes
-        # of each larger block
-        singles = [pos for b in blocks if len(b) == 1 for pos in b]
-        rest = operator.itemgetter(*singles) if singles else (lambda j: ())
-        sorted_modes: dict[tuple[int, ...], tuple[int, ...]] = {}
-        sums: dict[tuple, int] = {}
-        orbit_weight: dict[tuple, int] = {}
-        for j, wt, n in zip(index, weights, nums):
-            if n:
-                key = [rest(j)]
-                for take in groups:
-                    modes = take(j)
-                    canon = sorted_modes.get(modes)
-                    if canon is None:
-                        canon = sorted_modes[modes] = tuple(sorted(modes))
-                    key.append(canon)
-                key = tuple(key)
-                sums[key] = sums.get(key, 0) + n
-                orbit_weight[key] = wt
-        orbit = sum(orbit_weight[key] * math.prod(map(_stabilizer, key[1:]))
-                    * s * s for key, s in sums.items())
+    if any(len(b) > 1 for b in blocks):
+        orbit = sum(math.prod(2 * m + 1 for m in j)
+                    * math.prod(map(_stabilizer, key[1:])) * s * s
+                    for key, (s, j) in orbit_sums(index, nums, blocks).items())
     return Fraction(orbit, lcm * lcm), Fraction(squares, lcm * lcm)
 
 

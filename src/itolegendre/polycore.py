@@ -149,11 +149,6 @@ class Poly:
         f = self.antiderivative()
         return f - Poly([f(lower)])
 
-    def definite_integral(self, lo: RationalLike, hi: RationalLike) -> Fraction:
-        """Exact integral over [lo, hi]."""
-        f = self.antiderivative()
-        return f(hi) - f(lo)
-
 
 ZERO = Poly()
 ONE = Poly([1])
@@ -172,20 +167,3 @@ def legendre(n: int) -> Poly:
     # (n) P_n = (2n - 1) x P_{n-1} - (n - 1) P_{n-2}
     return (X * legendre(n - 1)) * Fraction(2 * n - 1, n) \
         - legendre(n - 2) * Fraction(n - 1, n)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product of two polynomials."""
-    return a * b
-
-
-def poly_antiderivative_from(a: Poly, lower: RationalLike) -> Poly:
-    """Antiderivative of ``a`` vanishing at ``lower``."""
-    return a.antiderivative_from(lower)
-
-
-def definite_integral(a: Poly, lo: RationalLike, hi: RationalLike) -> Fraction:
-    """Exact value of the integral of ``a`` over [lo, hi]."""
-    if Fraction(lo) > Fraction(hi):
-        raise ValueError("integration bounds must satisfy lo <= hi")
-    return a.definite_integral(lo, hi)

@@ -23,9 +23,12 @@ from itolegendre.coeffs import (
 )
 from itolegendre.expansion import (
     CERTIFIED_MAX_K,
+    GaussianDraw,
     IndexPattern,
     MissingCoefficientError,
+    enumerate_matchings,
 )
+from itolegendre.polycore import Poly, RationalLike
 from itolegendre.msekit import (
     _CASE_BY_KEY,
     MseReport,
@@ -141,10 +144,57 @@ def ordered_monomial_integral(exponents, length):
     return total * F(length) ** running
 
 
+# --- polynomial and basis helpers --------------------------------------------
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    """Exact product of two polynomials."""
+    return a * b
+
+
+def poly_antiderivative_from(a: Poly, lower: RationalLike) -> Poly:
+    """Antiderivative of ``a`` vanishing at ``lower``."""
+    return a.antiderivative_from(lower)
+
+
+def definite_integral(a: Poly, lo: RationalLike, hi: RationalLike) -> Fraction:
+    """Exact value of the integral of ``a`` over [lo, hi]."""
+    if Fraction(lo) > Fraction(hi):
+        raise ValueError("integration bounds must satisfy lo <= hi")
+    f = a.antiderivative()
+    return f(hi) - f(lo)
+
+
+@dataclass(frozen=True)
+class BasisFunction:
+    """Orthonormal Legendre basis function phi_j on an interval.
+
+    phi_j(s) = sqrt((2j + 1) / (T - t)) * P_j(2 (s - t) / (T - t) - 1),
+    so that the family is orthonormal in L2([t, T]).
+    """
+
+    mode: int
+    interval: Interval
+
+    def __call__(self, s):
+        length = float(self.interval.length)
+        x = 2.0 * (np.asarray(s, dtype=float) - float(self.interval.t)) / length - 1.0
+        coeffs = np.zeros(self.mode + 1)
+        coeffs[-1] = 1.0
+        out = np.polynomial.legendre.legval(x, coeffs) \
+            * math.sqrt((2 * self.mode + 1) / length)
+        return float(out) if out.ndim == 0 else out
+
+
+def basis_phi(j: int, interval: Interval) -> BasisFunction:
+    """The j-th orthonormal basis function on the interval."""
+    if j < 0:
+        raise ValueError(f"mode must be nonnegative, got {j}")
+    return BasisFunction(mode=j, interval=interval)
+
+
 def gauss_coefficient(j, w, interval, nodes=24):
     """Nested Gauss-Legendre quadrature of the kernel projection in t-space."""
-    from itolegendre.coeffs import basis_phi
-
     x, wts = np.polynomial.legendre.leggauss(nodes)
     t0 = float(interval.t)
     phis = [basis_phi(mode, interval) for mode in j]
@@ -308,3 +358,42 @@ def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
         total += _weighted(j) * cj * nested(j, 0)
     core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
     return _report(pattern, p, w, interval, core, table)
+
+
+# --- compensated-summation route to a realization ---------------------------
+#
+# The expansion evaluated entry by entry over {0..p}^k, with math.fsum on
+# every bracket and on the outer sum; independent of the orbit-summed plan.
+
+
+def fsum_realize(pattern: IndexPattern, p: int,
+                 table: Mapping[MultiIndex, CoeffValue],
+                 draw: GaussianDraw) -> float:
+    """Value of the truncated expansion at truncation order p.
+
+    Sums, over all multi-indices with entries 0..p, the reconstructed
+    coefficient times the bracket of signed matching terms evaluated on
+    the draw. Both the per-index bracket and the outer sum are compensated
+    (math.fsum), so algebraically cancelling contributions cancel exactly.
+    """
+    labels = pattern.labels
+    terms = enumerate_matchings(pattern)
+    pieces: list[float] = []
+    for j in itertools.product(range(p + 1), repeat=pattern.k):
+        cv = table.get(j)
+        if cv is None:
+            raise MissingCoefficientError(
+                f"table has no entry for multi-index {j}; "
+                f"recompute it with p >= {p}")
+        c = cv.value(draw.length)
+        if c == 0.0:
+            continue
+        bracket = []
+        for term in terms:
+            if all(j[a] == j[b] for a, b in term.pairs):
+                prod = 1.0
+                for pos in term.free_positions:
+                    prod *= draw.zeta[labels[pos]][j[pos]]
+                bracket.append(term.sign * prod)
+        pieces.append(c * math.fsum(bracket))
+    return math.fsum(pieces)

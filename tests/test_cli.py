@@ -63,6 +63,22 @@ def test_coeffs_csv_and_json_numbers_agree(capsys):
         assert row["core"] == res["core"]
 
 
+def test_coeffs_csv_rows_carry_every_json_field(capsys):
+    argv = ("coeffs", "--k", "3", "--p", "1", "--q", "1,0,2", "--len", "3/2")
+    _, json_out, _ = run(capsys, *argv)
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    _, rows = parse_csv(csv_out)
+    assert list(rows[0]) == ["j1", "j2", "j3", "core", "half_power",
+                             "two_power", "value"]
+    expected = [
+        {"j1": str(r["j"][0]), "j2": str(r["j"][1]), "j3": str(r["j"][2]),
+         "core": r["core"], "half_power": str(r["half_power"]),
+         "two_power": str(r["two_power"]), "value": repr(r["value"])}
+        for r in json.loads(json_out)["results"]
+    ]
+    assert rows == expected
+
+
 def test_mse_known_value(capsys):
     code, out, _ = run(capsys, "mse", "--pattern", "1,2", "--p", "1",
                        "--len", "1")

@@ -7,14 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gauss_coefficient, ordered_monomial_integral
+from oracles import basis_phi, gauss_coefficient, ordered_monomial_integral
 
 from itolegendre.coeffs import (
     CacheIntegrityError,
     DegreeCapError,
     Interval,
     WeightSpec,
-    basis_phi,
     coefficient_table,
     fourier_coefficient,
     kernel_norm,
@@ -155,6 +154,13 @@ def test_kernel_norm_matches_monomial_oracle(exponents):
     oracle = ordered_monomial_integral(tuple(2 * q for q in exponents), length)
     got = kernel_norm(w).value(Interval(0, length))
     assert got == pytest.approx(float(oracle), rel=1e-13)
+
+
+def test_kernel_norm_is_memoized_per_weights():
+    # equal weight specs share one norm; the chain is not rebuilt per call
+    first = kernel_norm(WeightSpec((2, 0, 1)))
+    assert kernel_norm(WeightSpec((2, 0, 1))) is first
+    assert kernel_norm(WeightSpec((0, 2, 1))) is not first
 
 
 # --- quadrature cross-check --------------------------------------------------

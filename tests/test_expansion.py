@@ -2,13 +2,18 @@
 
 import itertools
 import math
+from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import expected_terms
+from oracles import expected_terms, fsum_realize
 
+import itolegendre.expansion as expansion
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
 from itolegendre.expansion import (
     ExperimentalWarning,
@@ -16,6 +21,7 @@ from itolegendre.expansion import (
     IndexPattern,
     MissingCoefficientError,
     enumerate_matchings,
+    expansion_plan,
     realize,
     sample_draw,
 )
@@ -198,3 +204,96 @@ def test_realize_triple_collapses_to_hermite_form():
             gaps.append((realize(pattern, p, table, draw) - hermite) ** 2)
         second_moment = length ** 3 / 6
         assert np.mean(gaps) < 1e-25 * second_moment
+
+
+# --- the orbit-summed plan against the compensated-summation oracle ----------
+
+
+@lru_cache(maxsize=None)
+def _table(exponents, p):
+    return coefficient_table(WeightSpec(exponents), p)
+
+
+def abs_terms(pattern, p, table, draw):
+    """Sum of |C(j)| times the absolute matching terms: the rounding scale."""
+    total = 0.0
+    for j in itertools.product(range(p + 1), repeat=pattern.k):
+        c = abs(table[j].value(draw.length))
+        for term in enumerate_matchings(pattern):
+            if all(j[a] == j[b] for a, b in term.pairs):
+                total += c * math.prod(
+                    abs(draw.zeta[pattern.labels[pos]][j[pos]])
+                    for pos in term.free_positions)
+    return total
+
+
+@st.composite
+def realizations(draw):
+    """A pattern of multiplicity 1..4 (time, repeated and arbitrary
+    labels), weights, an order, a rational length and a draw, perhaps
+    with extra modes."""
+    k = draw(st.integers(1, 4))
+    labels = tuple(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)))
+    exponents = tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                    max_size=k)))
+    p = draw(st.integers(0, 3))
+    length = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+    extra = draw(st.integers(0, 1))
+    pattern = IndexPattern(labels)
+    seed = draw(st.integers(0, 10 ** 6))
+    sample = sample_draw(pattern, p + extra, seed=seed,
+                         interval=Interval.from_length(length))
+    return pattern, exponents, p, sample
+
+
+@settings(max_examples=60, deadline=None)
+@given(realizations(), st.permutations(range(1, 10)))
+def test_plan_agrees_with_compensated_sum(case, image):
+    pattern, exponents, p, draw = case
+    table = _table(exponents, p)
+    got = realize(pattern, p, table, draw)
+    scale = abs_terms(pattern, p, table, draw)
+    assert abs(got - fsum_realize(pattern, p, table, draw)) <= 1e-12 * scale
+    # relabelling the Wiener components, and their draws with them, changes
+    # nothing: the plan gathers the same factors in the same order
+    relabel = {0: 0, **{label: image[label - 1] for label in range(1, 10)}}
+    moved = IndexPattern(tuple(relabel[label] for label in pattern.labels))
+    moved_draw = GaussianDraw(length=draw.length, zeta={
+        relabel[label]: row for label, row in draw.zeta.items()})
+    assert realize(moved, p, table, moved_draw) == got
+
+
+@pytest.mark.parametrize("labels,orders", [((1, 1), range(11)),
+                                           ((1, 1, 1), range(7)),
+                                           ((6, 6, 6), [3])])
+def test_equal_blocks_keep_a_single_orbit(labels, orders):
+    for p in orders:
+        plan = expansion_plan(IndexPattern(labels), p,
+                              _table((0,) * len(labels), max(orders)))
+        assert len(plan.coefficients) == 1, p
+        assert plan.columns.shape == (len(plan.signs), len(labels))
+
+
+def test_plan_batch_equals_single_draws_and_blocks_do_not_matter(monkeypatch):
+    pattern = IndexPattern((2, 0, 2, 5))
+    p = 2
+    table = _table((1, 0, 0, 2), p)
+    plan = expansion_plan(pattern, p, table)
+    draws = [sample_draw(pattern, p, seed=s, interval=0.6) for s in range(7)]
+    batch = {label: np.stack([d.zeta[label] for d in draws])
+             for label in (0, 2, 5)}
+    whole = plan.values(batch, 0.6)
+    np.testing.assert_array_equal(
+        whole, [realize(pattern, p, table, d) for d in draws])
+    # a budget of a few floats splits the terms into blocks of whole orbits
+    monkeypatch.setattr(expansion, "CHUNK_FLOATS", 120)
+    blocked = plan.values(batch, 0.6)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-13, atol=1e-15)
+
+
+def test_realize_rejects_a_draw_with_too_few_modes():
+    pattern = IndexPattern((1, 2))
+    table = coefficient_table(WeightSpec.unit(2), 3)
+    draw = sample_draw(pattern, 2, seed=0)
+    with pytest.raises(ValueError, match="modes"):
+        realize(pattern, 3, table, draw)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
-from itolegendre.expansion import IndexPattern
+from itolegendre.expansion import IndexPattern, expansion_plan
 from itolegendre.montecarlo import (
     McConfig,
     empirical_mse,
@@ -139,12 +139,10 @@ def test_coupling_correlation_is_strong():
     incr = {label: rng.standard_normal((2000, 1024)) * math.sqrt(1 / 1024)
             for label in (1, 2)}
     j_true = simulate_true_integral(incr, w, pattern, UNIT)
-    from itolegendre.montecarlo import _expansion_values, _phi_matrix, \
-        _prepare_expansion
+    from itolegendre.montecarlo import _phi_matrix
     phi = _phi_matrix(p, 1024, UNIT)
     zeta = {label: incr[label] @ phi for label in (1, 2)}
-    j_p = _expansion_values(_prepare_expansion(pattern, p, table, 1.0),
-                            pattern.labels, zeta)
+    j_p = expansion_plan(pattern, p, table).values(zeta, 1.0)
     corr = np.corrcoef(j_true, j_p)[0, 1]
     assert corr > 0.9
 

@@ -5,15 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from itolegendre.polycore import (
-    ONE,
-    Poly,
-    X,
-    definite_integral,
-    legendre,
-    poly_antiderivative_from,
-    poly_mul,
-)
+from oracles import definite_integral, poly_antiderivative_from, poly_mul
+
+from itolegendre.polycore import ONE, Poly, X, legendre
 
 F = Fraction
 
