@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .coeffs import (
     CacheIntegrityError,
+    CoeffTable,
     CoeffValue,
     DegreeCapError,
     Interval,
@@ -55,6 +56,7 @@ from .polycore import Poly, Rational, legendre
 __all__ = [
     "CacheIntegrityError",
     "CaseInfo",
+    "CoeffTable",
     "CoeffValue",
     "DegreeCapError",
     "ExperimentalWarning",

@@ -5,9 +5,16 @@ restricted to the ordered region t_1 < ... < t_k. Its projection onto a
 product of orthonormal Legendre basis functions is computed exactly by
 nested antidifferentiation on [-1, 1]^k and stored scale-free: a rational
 core together with sqrt, interval-power and dyadic factors. One table
-therefore serves every interval length. ``orbit_sums`` adds the cores of
-a table, as exact integers, over the orbits of a pattern's block
-permutations; the exact error and the expansion both read them.
+therefore serves every interval length.
+
+A table is an immutable ``CoeffTable``: a read-only mapping from
+multi-index to ``CoeffValue`` that knows its weights and truncation order.
+On first use it derives, once, every core as an integer over one
+table-wide lcm D, and the prefix sums of w(j) * n_j^2 with w(j) =
+prod(2 j_l + 1), so that the squared sum over any box {0..p_1} x ... x
+{0..p_k} is one lookup. ``orbit_sums`` adds those integers over the orbits
+of a pattern's block permutations; the exact error and the expansion both
+read them.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
 ``save_table`` / ``load_table``. The cache directory defaults to the
@@ -23,11 +30,12 @@ import math
 import operator
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import ONE, Poly, RationalLike, legendre
 
@@ -35,12 +43,14 @@ MultiIndex = tuple[int, ...]
 
 DEFAULT_DEGREE_CAP = 30
 DEFAULT_EXPONENT_CAP = 5
+# largest (p + 1)^k a table may have; beyond it the build would not finish
+MAX_TABLE_ENTRIES = 10 ** 6
 CACHE_ENV_VAR = "COEFF_CACHE_DIR"
 CACHE_SCHEMA_VERSION = 1
 
 
 class DegreeCapError(ValueError):
-    """A requested mode number or weight exponent exceeds the configured cap."""
+    """A requested mode number, weight exponent or table size exceeds its cap."""
 
 
 class CacheIntegrityError(RuntimeError):
@@ -132,6 +142,113 @@ class CoeffValue:
         return v
 
 
+class CoeffTable(Mapping[MultiIndex, CoeffValue]):
+    """Immutable table of the (p + 1)^k coefficients of one weight spec.
+
+    A read-only mapping from multi-index to ``CoeffValue`` that iterates in
+    lexicographic order. It takes ownership of ``entries``, which must hold
+    exactly the multi-indices {0..p}^k in lexicographic order, without
+    copying it. The integer cores and the prefix sums of w(j) * n_j^2 are
+    derived once, on first use by the exact error or the expansion.
+    """
+
+    def __init__(self, weights: WeightSpec, p: int,
+                 entries: dict[MultiIndex, CoeffValue]):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getitem__(self, j: MultiIndex) -> CoeffValue:
+        return self._entries[j]
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _check_covers(self, p_levels: Sequence[int]) -> None:
+        # name the lexicographically first multi-index of the box that the
+        # table lacks: the last level beyond p at p + 1, zeros elsewhere
+        k = self.weights.k
+        if len(p_levels) != k:
+            missing = (0,) * len(p_levels)
+        elif max(p_levels) > self.p:
+            last = max(l for l, top in enumerate(p_levels) if top > self.p)
+            missing = tuple(self.p + 1 if l == last else 0 for l in range(k))
+        else:
+            return
+        raise MissingCoefficientError(
+            f"coefficient table does not cover multi-index {missing}; "
+            "recompute it with a large enough truncation order")
+
+    @cached_property
+    def _numerators(self) -> tuple[list[int], int]:
+        # every core as an integer over the lcm D of all denominators, in
+        # flat lexicographic order
+        grid = itertools.product(range(self.p + 1), repeat=self.weights.k)
+        cores = [self._entries[j].core for j in grid]
+        dens = {c.denominator for c in cores}
+        lcm = math.lcm(*dens)
+        scale = {d: lcm // d for d in dens}
+        return [c.numerator * scale[c.denominator] for c in cores], lcm
+
+    @cached_property
+    def _square_prefix(self) -> list[int]:
+        # inclusive k-dimensional prefix sums of w(j) * n_j^2, flat
+        nums, _ = self._numerators
+        side = self.p + 1
+        w_of = [1]
+        for _ in range(self.weights.k):
+            w_of = [a * (2 * m + 1) for a in w_of for m in range(side)]
+        acc = [wt * n * n for wt, n in zip(w_of, nums)]
+        stride = 1
+        for _ in range(self.weights.k):
+            for lo in range(0, len(acc), stride * side):
+                for i in range(lo + stride, lo + stride * side):
+                    acc[i] += acc[i - stride]
+            stride *= side
+        return acc
+
+    def integer_cores(self, p_levels: Sequence[int],
+                      ) -> tuple[list[MultiIndex], list[int], int]:
+        """The multi-indices of the box {0..p_1} x ... x {0..p_k} and their
+        cores as integers over D, returned last, in lexicographic order.
+
+        A box beyond the table raises MissingCoefficientError naming its
+        first multi-index that the table lacks.
+        """
+        self._check_covers(p_levels)
+        nums, lcm = self._numerators
+        index = list(itertools.product(*(range(top + 1) for top in p_levels)))
+        if any(top != self.p for top in p_levels):
+            flat = [0]
+            for top in p_levels:
+                flat = [f * (self.p + 1) + m for f in flat for m in range(top + 1)]
+            nums = [nums[f] for f in flat]
+        return index, nums, lcm
+
+    def square_sum(self, p_levels: Sequence[int]) -> tuple[int, int]:
+        """Sum of w(j) * n_j^2 over the box {0..p_1} x ... x {0..p_k}, with
+        the C(j) = n_j / D of ``integer_cores``, and D: one lookup."""
+        self._check_covers(p_levels)
+        flat = 0
+        for top in p_levels:
+            flat = flat * (self.p + 1) + top
+        return self._square_prefix[flat], self._numerators[1]
+
+
+def require_table(table) -> None:
+    """Raise TypeError unless ``table`` is a ``CoeffTable``."""
+    if not isinstance(table, CoeffTable):
+        raise TypeError(
+            f"expected a CoeffTable from coefficient_table or load_table, "
+            f"got {type(table).__name__}")
+
+
 @lru_cache(maxsize=None)
 def _xp1_pow(q: int) -> Poly:
     # (x + 1) ** q
@@ -141,7 +258,8 @@ def _xp1_pow(q: int) -> Poly:
     return out
 
 
-def _check_caps(w: WeightSpec, max_mode: int, degree_cap: int, exponent_cap: int):
+def _check_caps(w: WeightSpec, max_mode: int, entries: int,
+                degree_cap: int, exponent_cap: int):
     if max_mode > degree_cap:
         raise DegreeCapError(
             f"mode {max_mode} exceeds the degree cap {degree_cap}")
@@ -149,6 +267,10 @@ def _check_caps(w: WeightSpec, max_mode: int, degree_cap: int, exponent_cap: int
     if worst > exponent_cap:
         raise DegreeCapError(
             f"weight exponent {worst} exceeds the exponent cap {exponent_cap}")
+    if entries > MAX_TABLE_ENTRIES:
+        raise DegreeCapError(
+            f"{entries} table entries requested; the limit is "
+            f"{MAX_TABLE_ENTRIES}")
 
 
 def _simplex_core(j: MultiIndex, exponents: tuple[int, ...]) -> Fraction:
@@ -174,7 +296,7 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
         raise ValueError(f"multi-index length {len(j)} != multiplicity {w.k}")
     if any(m < 0 for m in j):
         raise ValueError(f"modes must be nonnegative, got {j}")
-    _check_caps(w, max(j), degree_cap, exponent_cap)
+    _check_caps(w, max(j), 1, degree_cap, exponent_cap)
     sum_q = sum(w.exponents)
     return CoeffValue(
         core=_simplex_core(j, w.exponents),
@@ -220,8 +342,11 @@ def coefficient_table(w: WeightSpec, p: int, *,
                       cache_dir: Optional[Union[str, Path]] = None,
                       degree_cap: int = DEFAULT_DEGREE_CAP,
                       exponent_cap: int = DEFAULT_EXPONENT_CAP,
-                      ) -> dict[MultiIndex, CoeffValue]:
+                      ) -> CoeffTable:
     """All (p + 1)^k coefficients, in lexicographic multi-index order.
+
+    A request for more than MAX_TABLE_ENTRIES entries raises DegreeCapError
+    before any work starts.
 
     Served from the on-disk cache when a cache directory is available
     (explicit argument, else the COEFF_CACHE_DIR environment variable);
@@ -229,7 +354,7 @@ def coefficient_table(w: WeightSpec, p: int, *,
     """
     if p < 0:
         raise ValueError(f"truncation order must be nonnegative, got {p}")
-    _check_caps(w, p, degree_cap, exponent_cap)
+    _check_caps(w, p, (p + 1) ** w.k, degree_cap, exponent_cap)
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None
@@ -248,37 +373,16 @@ def coefficient_table(w: WeightSpec, p: int, *,
     half_power = w.k + 2 * sum_q
     two_power = w.k + sum_q
     cores = _compute_cores(w, p)
-    table = {
+    table = CoeffTable(w, p, {
         j: CoeffValue(core=cores[j],
                       sqrt_factors=tuple(2 * m + 1 for m in j),
                       half_power=half_power, two_power=two_power)
         for j in sorted(cores)
-    }
+    })
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(path, w, p, table, degree_cap=degree_cap)
     return table
-
-
-def integer_cores(table: Mapping[MultiIndex, CoeffValue],
-                  ranges: Sequence[range],
-                  ) -> tuple[list[MultiIndex], list[int], int]:
-    """The multi-indices over ``ranges`` and their cores as integers over D.
-
-    D, returned last, is the lcm of the cores' denominators. A multi-index
-    absent from the table raises MissingCoefficientError naming it.
-    """
-    index = list(itertools.product(*ranges))
-    try:
-        cores = [table[j].core for j in index]
-    except KeyError as exc:
-        raise MissingCoefficientError(
-            f"coefficient table does not cover multi-index {exc.args[0]}; "
-            "recompute it with a large enough truncation order") from None
-    dens = {c.denominator for c in cores}
-    lcm = math.lcm(*dens)
-    scale = {d: lcm // d for d in dens}
-    return index, [c.numerator * scale[c.denominator] for c in cores], lcm
 
 
 def orbit_sums(index: Sequence[MultiIndex], nums: Sequence[int],
@@ -368,7 +472,7 @@ def save_table(path: Union[str, Path], w: WeightSpec, p: int,
 
 
 def load_table(path: Union[str, Path],
-               ) -> tuple[WeightSpec, int, dict[MultiIndex, CoeffValue]]:
+               ) -> tuple[WeightSpec, int, CoeffTable]:
     """Read a table back, verifying its checksum.
 
     Raises CacheIntegrityError on malformed JSON, missing fields, or a
@@ -406,4 +510,4 @@ def load_table(path: Union[str, Path],
         raise CacheIntegrityError(
             f"cache file {path} has {len(table)} entries, "
             f"expected {(p + 1) ** w.k}")
-    return w, p, table
+    return w, p, CoeffTable(w, p, table)

@@ -9,11 +9,12 @@ share a nonzero component label contributes a signed term, the sign being
 expansions for multiplicities 1 through 5 term by term; larger
 multiplicities are produced by the same rule but are flagged experimental.
 
-``expansion_plan`` sums the cores over the orbits of the pattern's block
-permutations in exact integers (``coeffs.orbit_sums``, as the exact error
-does) and rounds once per orbit, so cancellations such as C(0,1) + C(1,0)
-= 0 hold by construction. ``realize`` and the Monte Carlo both evaluate
-their draws through such a plan.
+``expansion_plan`` sums the table's integer cores (derived once per
+``CoeffTable``) over the orbits of the pattern's block permutations
+(``coeffs.orbit_sums``, as the exact error does) and rounds once per
+orbit, so cancellations such as C(0,1) + C(1,0) = 0 hold by construction.
+``realize`` and the Monte Carlo both evaluate their draws through such a
+plan.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from typing import Mapping, Union
 import numpy as np
 
 from .coeffs import (
-    CoeffValue,
+    CoeffTable,
     Interval,
-    MissingCoefficientError,  # raised by integer_cores; re-exported here
-    MultiIndex,
-    integer_cores,
+    MissingCoefficientError,  # raised by CoeffTable; re-exported here
     orbit_sums,
+    require_table,
 )
 
 CERTIFIED_MAX_K = 5
@@ -223,20 +223,22 @@ class ExpansionPlan:
 
 
 def expansion_plan(pattern: IndexPattern, p: int,
-                   table: Mapping[MultiIndex, CoeffValue]) -> ExpansionPlan:
+                   table: CoeffTable) -> ExpansionPlan:
     """Orbit-summed plan of the truncated expansion at order p.
 
     Terms for j and for a block permutation of j are the same random
     variable, so the cores are summed over each orbit as exact integers
-    over their lcm D and converted to a float once per orbit; orbits whose
-    sum is exactly zero, such as every orbit but (0, 0) of an equal pair,
-    are dropped.
+    over the table's lcm D and converted to a float once per orbit; orbits
+    whose sum is exactly zero, such as every orbit but (0, 0) of an equal
+    pair, are dropped. ``table`` must be a ``CoeffTable`` (TypeError
+    otherwise).
     """
+    require_table(table)
     k = pattern.k
     terms = enumerate_matchings(pattern)
     labels = tuple(sorted(set(pattern.labels)))
     offset = [labels.index(label) * (p + 1) for label in pattern.labels]
-    index, nums, lcm = integer_cores(table, (range(p + 1),) * k)
+    index, nums, lcm = table.integer_cores((p,) * k)
     sums = [(s, j) for s, j in orbit_sums(index, nums, pattern.blocks).values()
             if s]
     reps = np.array([j for _, j in sums], dtype=np.intp).reshape(-1, k)
@@ -261,8 +263,7 @@ def expansion_plan(pattern: IndexPattern, p: int,
         signs=np.broadcast_to(signs, active.shape)[active])
 
 
-def realize(pattern: IndexPattern, p: int,
-            table: Mapping[MultiIndex, CoeffValue],
+def realize(pattern: IndexPattern, p: int, table: CoeffTable,
             draw: GaussianDraw) -> float:
     """Value of the truncated expansion at truncation order p on one draw.
 

@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .coeffs import CoeffValue, Interval, MultiIndex, WeightSpec, coefficient_table
+from .coeffs import CoeffTable, Interval, WeightSpec, coefficient_table
 from .expansion import CHUNK_FLOATS, GaussianDraw, IndexPattern, expansion_plan
 from .msekit import exact_mse
 
@@ -128,7 +128,7 @@ def zetas_from_path(path: Mapping[int, np.ndarray], p: int,
                         zeta={label: row @ phi for label, row in rows.items()})
 
 
-def empirical_mse(cfg: McConfig, table: Mapping[MultiIndex, CoeffValue], *,
+def empirical_mse(cfg: McConfig, table: CoeffTable, *,
                   threads: int = 1) -> McEstimate:
     """Coupled estimate of the mean-square truncation error.
 
@@ -178,7 +178,7 @@ def empirical_mse(cfg: McConfig, table: Mapping[MultiIndex, CoeffValue], *,
 
 
 def run_report(cfg: McConfig, *,
-               table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+               table: Optional[CoeffTable] = None,
                threads: int = 1, cache_dir=None) -> dict:
     """Validation run as a JSON-ready report.
 

@@ -9,7 +9,9 @@ where I_k is the squared kernel norm, j runs over {0..p}^k, and sigma runs
 over the position permutations that preserve the pattern: the direct
 product of symmetric groups on its equality blocks. The orbit-sum engine
 evaluates the double sum as one pass over the orbits of that group, in
-exact integers; it is checked against the permutation and catalog oracles
+the exact integer cores that the ``CoeffTable`` derives once; a trivial
+group, and the bound, reduce to one lookup of the table's prefix sums of
+w(j) * C(j)^2. It is checked against the permutation and catalog oracles
 in tests/. The transcribed case catalog for multiplicities 1..5 (labels
 (I), (II), (III).1, ...) names the case of each pattern.
 
@@ -26,19 +28,17 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .coeffs import (
-    CoeffValue,
+    CoeffTable,
     Interval,
     MissingCoefficientError,
-    MultiIndex,
     WeightSpec,
-    _simplex_core,
     coefficient_table,
-    integer_cores,
     kernel_norm,
     orbit_sums,
+    require_table,
 )
 from .expansion import CERTIFIED_MAX_K, ExperimentalWarning, IndexPattern
 
@@ -234,29 +234,20 @@ def classify_case(pattern: IndexPattern) -> Optional[str]:
 # labels distinct, or the bound) it is the squared sum sum_j w(j) C(j)^2.
 
 
-def _resolve_table(w: WeightSpec, p: int,
-                   table: Optional[Mapping[MultiIndex, CoeffValue]],
-                   cache_dir) -> Mapping[MultiIndex, CoeffValue]:
+def _resolve_table(w: WeightSpec, p: int, table: Optional[CoeffTable],
+                   cache_dir) -> CoeffTable:
     if table is None:
         return coefficient_table(w, p, cache_dir=cache_dir)
     return table
 
 
-@lru_cache(maxsize=256)
-def _origin_core(exponents: tuple[int, ...]) -> Fraction:
-    return _simplex_core((0,) * len(exponents), exponents)
-
-
-def _check_table(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec):
-    """Reject a table built for other weights, judged by its (0, ..., 0) entry."""
-    origin = (0,) * w.k
-    cv = table.get(origin)
-    if cv is None:
+def _check_table(table: CoeffTable, w: WeightSpec):
+    """Reject anything but a CoeffTable, and a table of other weights."""
+    require_table(table)
+    if table.weights.k != w.k:
         raise MissingCoefficientError(
-            f"coefficient table does not cover multi-index {origin}")
-    sum_q = sum(w.exponents)
-    if (cv.half_power, cv.two_power) != (w.k + 2 * sum_q, w.k + sum_q) \
-            or cv.core != _origin_core(w.exponents):
+            f"coefficient table does not cover multi-index {(0,) * w.k}")
+    if table.weights != w:
         raise ValueError(
             f"coefficient table was not built for weight exponents {w.exponents}")
 
@@ -268,19 +259,15 @@ def _stabilizer(modes: tuple[int, ...]) -> int:
                      for _, run in itertools.groupby(modes))
 
 
-def _orbit_sums(table: Mapping[MultiIndex, CoeffValue], w: WeightSpec,
-                ranges: Sequence[range],
+def _orbit_sums(table: CoeffTable, w: WeightSpec, p_levels: Sequence[int],
                 blocks: Sequence[Sequence[int]]) -> tuple[Fraction, Fraction]:
-    """The orbit sum and the squared sum over the multi-indices in ``ranges``,
-    accumulated in integers over D^2 (see ``coeffs.orbit_sums``)."""
+    """The orbit sum and the squared sum over the box {0..p_1} x ... x
+    {0..p_k}, accumulated in integers over D^2 (see ``coeffs.orbit_sums``)."""
     _check_table(table, w)
-    index, nums, lcm = integer_cores(table, ranges)
-    weights = [1]
-    for modes in ranges:
-        weights = [a * (2 * m + 1) for a in weights for m in modes]
-    squares = sum(wt * n * n for wt, n in zip(weights, nums))
+    squares, lcm = table.square_sum(p_levels)
     orbit = squares
     if any(len(b) > 1 for b in blocks):
+        index, nums, _ = table.integer_cores(p_levels)
         orbit = sum(math.prod(2 * m + 1 for m in j)
                     * math.prod(map(_stabilizer, key[1:])) * s * s
                     for key, (s, j) in orbit_sums(index, nums, blocks).items())
@@ -306,14 +293,14 @@ def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
 
 
 def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
-              *, table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+              *, table: Optional[CoeffTable] = None,
               cache_dir=None) -> MseReport:
     """Exact mean-square truncation error via the orbit-sum engine.
 
-    Requires an all-Wiener pattern. ``table`` may supply precomputed
-    coefficients (any table covering modes 0..p works); a table built for
-    other weights raises ValueError. The report's bound comes from the same
-    pass over the table.
+    Requires an all-Wiener pattern. ``table`` may supply a precomputed
+    ``CoeffTable`` (any table covering modes 0..p works); a table built for
+    other weights raises ValueError, anything else TypeError. The report's
+    bound comes from the same pass over the table.
     """
     _check_exact_args(pattern, w)
     if pattern.zero_positions:
@@ -322,8 +309,7 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
     table = _resolve_table(w, p, table, cache_dir)
-    orbit, squares = _orbit_sums(table, w, (range(p + 1),) * w.k,
-                                 pattern.blocks)
+    orbit, squares = _orbit_sums(table, w, (p,) * w.k, pattern.blocks)
     norm = kernel_norm(w)
     sum_q = sum(w.exponents)
     scale = interval.length ** (w.k + 2 * sum_q)
@@ -339,13 +325,15 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
 
 def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
                     w: WeightSpec, interval: Interval, *,
-                    table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+                    table: Optional[CoeffTable] = None,
                     cache_dir=None) -> Fraction:
     """Exact rational value of the k!-type upper bound.
 
     Supports unequal per-level truncations. Patterns with time components
     (label 0) require interval length strictly below 1; the bound does not
-    apply otherwise. A table built for other weights raises ValueError.
+    apply otherwise. A table built for other weights raises ValueError,
+    anything but a ``CoeffTable`` TypeError. The squared sum is one lookup
+    in the table's prefix sums.
     """
     p_levels = tuple(int(p) for p in p_levels)
     if len(p_levels) != pattern.k:
@@ -364,7 +352,7 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
             "patterns with time components (label 0) are bounded only for "
             f"interval length < 1, got length {interval.length}")
     table = _resolve_table(w, max(p_levels), table, cache_dir)
-    _, squares = _orbit_sums(table, w, tuple(range(p + 1) for p in p_levels), ())
+    _, squares = _orbit_sums(table, w, p_levels, ())
     sum_q = sum(w.exponents)
     core = _error_core(kernel_norm(w).core, squares, w.k, sum_q)
     return math.factorial(pattern.k) * core * interval.length ** (w.k + 2 * sum_q)
@@ -372,7 +360,7 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
 
 def mse_bound(pattern: IndexPattern, p_levels: Iterable[int], w: WeightSpec,
               interval: Interval, *,
-              table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
+              table: Optional[CoeffTable] = None,
               cache_dir=None) -> float:
     """Floating-point value of the upper bound; see ``mse_bound_exact``."""
     return float(mse_bound_exact(pattern, p_levels, w, interval,

@@ -397,3 +397,19 @@ def fsum_realize(pattern: IndexPattern, p: int,
                 bracket.append(term.sign * prod)
         pieces.append(c * math.fsum(bracket))
     return math.fsum(pieces)
+
+
+def factorial_bound(k: int, p_levels, w: WeightSpec, interval: Interval,
+                    table: Mapping[MultiIndex, CoeffValue]) -> Fraction:
+    """k! (I_k - sum_{j <= p_levels} C(j)^2), summed entry by entry from the
+    table's Fraction cores and scale factors."""
+    length = interval.length
+    norm = kernel_norm(w)
+    energy = norm.core * F(1, 2 ** norm.two_power) \
+        * length ** (norm.half_power // 2)
+    captured = F(0)
+    for j in itertools.product(*(range(p + 1) for p in p_levels)):
+        cv = table[j]
+        captured += cv.core ** 2 * math.prod(cv.sqrt_factors) \
+            * F(1, 4 ** cv.two_power) * length ** cv.half_power
+    return math.factorial(k) * (energy - captured)

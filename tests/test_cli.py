@@ -48,6 +48,13 @@ def test_coeffs_rejects_bad_multiplicity(capsys):
     assert "--k" in err
 
 
+def test_coeffs_rejects_an_oversize_table_at_once(capsys):
+    code, out, err = run(capsys, "coeffs", "--k", "8", "--p", "30")
+    assert code == 2
+    assert out == ""
+    assert "852891037441 table entries" in err and "1000000" in err
+
+
 def test_coeffs_csv_and_json_numbers_agree(capsys):
     code, json_out, _ = run(capsys, "coeffs", "--k", "2", "--p", "2",
                             "--len", "0.75")

@@ -2,15 +2,23 @@
 
 import json
 import math
+import multiprocessing
+import tempfile
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import basis_phi, gauss_coefficient, ordered_monomial_integral
 
+import itolegendre.coeffs as coeffs
 from itolegendre.coeffs import (
     CacheIntegrityError,
+    CoeffTable,
     DegreeCapError,
     Interval,
     WeightSpec,
@@ -20,6 +28,8 @@ from itolegendre.coeffs import (
     load_table,
     save_table,
 )
+from itolegendre.expansion import IndexPattern
+from itolegendre.msekit import exact_mse, mse_bound_exact
 
 F = Fraction
 UNIT = Interval.from_length(1)
@@ -196,6 +206,39 @@ def test_table_size_and_order():
     assert [cv.core for cv in single.values()] == [F(2), 0, 0]
 
 
+def test_table_is_an_immutable_typed_mapping():
+    w = WeightSpec((1, 0))
+    table = coefficient_table(w, 2)
+    assert isinstance(table, CoeffTable)
+    assert (table.weights, table.p) == (w, 2)
+    plain = dict(table)
+    assert list(plain) == list(table) == sorted(table)
+    assert table == plain and plain == table
+    assert table == coefficient_table(w, 2)
+    assert table != coefficient_table(WeightSpec((0, 1)), 2)
+    with pytest.raises(TypeError):
+        table[(0, 0)] = table[(0, 1)]
+    with pytest.raises(TypeError):
+        del table[(0, 0)]
+    with pytest.raises(AttributeError):
+        table.p = 3
+    assert len(table) == 9 and (2, 2) in table and (3, 0) not in table
+
+
+def test_table_size_guard_rejects_oversize_requests_up_front():
+    start = time.perf_counter()
+    with pytest.raises(DegreeCapError, match=r"852891037441 .*1000000"):
+        coefficient_table(WeightSpec.unit(8), 30)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_table_size_guard_admits_exactly_the_limit(monkeypatch):
+    monkeypatch.setattr(coeffs, "MAX_TABLE_ENTRIES", 9)
+    assert len(coefficient_table(WeightSpec.unit(2), 2)) == 9
+    with pytest.raises(DegreeCapError, match="16 table entries"):
+        coefficient_table(WeightSpec.unit(2), 3)
+
+
 def test_table_reproduces_antisymmetric_pair_structure():
     # nonzero off-diagonal pattern: adjacent modes with opposite signs
     table = coefficient_table(WeightSpec.unit(2), 1)
@@ -334,3 +377,71 @@ def test_cache_rejects_checksum_field_tampering(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheIntegrityError):
         load_table(path)
+
+
+@st.composite
+def stored_tables(draw):
+    """Weights of multiplicity 1..4 with exponents 0..2, an order 0..3, and
+    a pattern and per-level orders to evaluate on the table."""
+    k = draw(st.integers(1, 4))
+    exponents = tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                    max_size=k)))
+    p = draw(st.integers(0, 3))
+    labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
+    levels = tuple(draw(st.lists(st.integers(0, p), min_size=k, max_size=k)))
+    return WeightSpec(exponents), p, IndexPattern(labels), levels
+
+
+@settings(max_examples=30, deadline=None)
+@given(stored_tables())
+def test_cache_round_trip_is_exact(case):
+    w, p, pattern, levels = case
+    built = coefficient_table(w, p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        save_table(path, w, p, built)
+        w2, p2, loaded = load_table(path)
+    assert isinstance(loaded, CoeffTable)
+    assert (w2, p2) == (loaded.weights, loaded.p) == (w, p)
+    assert loaded == built
+    interval = Interval.from_length(Fraction(3, 4))
+    assert exact_mse(pattern, p, w, interval, table=loaded).exact_mse_rational \
+        == exact_mse(pattern, p, w, interval, table=built).exact_mse_rational
+    assert mse_bound_exact(pattern, levels, w, interval, table=loaded) \
+        == mse_bound_exact(pattern, levels, w, interval, table=built)
+
+
+SAVES_PER_WRITER = 20
+
+
+def _save_repeatedly(path, exponents, p):
+    w = WeightSpec(exponents)
+    table = coefficient_table(w, p)
+    for _ in range(SAVES_PER_WRITER):
+        save_table(path, w, p, table)
+
+
+def test_concurrent_writers_never_expose_a_partial_file(tmp_path):
+    w, p = WeightSpec((1, 0, 0, 2)), 3
+    built = coefficient_table(w, p)
+    path = tmp_path / "table.json"
+    ctx = multiprocessing.get_context("spawn")
+    writers = [ctx.Process(target=_save_repeatedly,
+                           args=(str(path), w.exponents, p)) for _ in range(2)]
+    for proc in writers:
+        proc.start()
+    loads = 0
+    deadline = time.monotonic() + 120
+    try:
+        while any(proc.is_alive() for proc in writers) \
+                and time.monotonic() < deadline:
+            if path.exists():
+                assert load_table(path)[2] == built
+                loads += 1
+    finally:
+        for proc in writers:
+            proc.join(timeout=30)
+    assert all(not proc.is_alive() and proc.exitcode == 0 for proc in writers)
+    assert load_table(path) == (w, p, built)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["table.json"]
+    assert loads > 0

@@ -116,6 +116,16 @@ def test_realize_missing_entry():
         realize(pattern, 3, table, draw)
 
 
+def test_realize_rejects_a_plain_dict_table():
+    pattern = IndexPattern((1, 2))
+    plain = dict(coefficient_table(WeightSpec.unit(2), 2))
+    draw = sample_draw(pattern, 2, seed=0)
+    with pytest.raises(TypeError, match="coefficient_table"):
+        realize(pattern, 2, plain, draw)
+    with pytest.raises(TypeError, match="coefficient_table"):
+        expansion_plan(pattern, 2, plain)
+
+
 @pytest.mark.parametrize("p", range(11))
 def test_realize_equal_pair_collapses_exactly(p):
     # with both levels on one Wiener component the expansion telescopes to

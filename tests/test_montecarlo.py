@@ -289,3 +289,11 @@ def test_run_report_skips_exact_reference_for_time_components():
     report = run_report(cfg)
     assert report["exact_mse"] is None
     assert report["z_score"] is None
+
+
+def test_empirical_mse_rejects_a_plain_dict_table():
+    w = WeightSpec.unit(2)
+    cfg = McConfig(pattern=IndexPattern((1, 2)), p=1, weights=w,
+                   interval=UNIT, n_paths=200, n_steps=64, seed=3)
+    with pytest.raises(TypeError, match="coefficient_table"):
+        empirical_mse(cfg, dict(coefficient_table(w, 1)))

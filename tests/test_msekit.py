@@ -1,5 +1,6 @@
 """Exact error engine vs the permutation and catalog oracles and the bound."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -22,6 +23,7 @@ from itolegendre.msekit import (
 from oracles import (
     allowed_permutations,
     enumerated_case_mse,
+    factorial_bound,
     permutation_mse,
     series_pair_error,
     set_partitions,
@@ -113,6 +115,17 @@ def test_short_table_names_first_missing_multi_index():
     with pytest.raises(MissingCoefficientError, match=r"\(0, 0, 0\)"):
         exact_mse(IndexPattern((1, 2, 3)), 0, WeightSpec.unit(3), UNIT,
                   table=table)
+
+
+def test_plain_dict_table_is_rejected_with_a_type_error():
+    w = WeightSpec.unit(2)
+    plain = dict(coefficient_table(w, 2))
+    with pytest.raises(TypeError, match="coefficient_table"):
+        exact_mse(IndexPattern((1, 2)), 2, w, UNIT, table=plain)
+    with pytest.raises(TypeError, match="coefficient_table"):
+        mse_bound_exact(IndexPattern((1, 2)), (2, 1), w, UNIT, table=plain)
+    with pytest.raises(TypeError, match="coefficient_table"):
+        mse_bound(IndexPattern((1, 1)), (2, 2), w, UNIT, table=plain)
 
 
 # --- permutation groups ------------------------------------------------------
@@ -403,3 +416,40 @@ def test_exact_error_is_invariant_under_relabelling(case, image, shift):
     assert a.exact_mse_rational == b.exact_mse_rational
     assert a.bound == b.bound
     assert a.case_id == b.case_id
+
+
+@lru_cache(maxsize=None)
+def _table4(exponents):
+    return coefficient_table(WeightSpec(exponents), 4)
+
+
+@st.composite
+def boxes(draw):
+    """A pattern with at least one Wiener label, per-level orders 0..4 and
+    a length below 1, so that time components are allowed."""
+    k = draw(st.integers(1, 4))
+    labels = tuple(draw(st.lists(st.integers(0, k), min_size=k, max_size=k)
+                        .filter(any)))
+    exponents = tuple(draw(st.lists(st.integers(0, 1), min_size=k,
+                                    max_size=k)))
+    p_levels = tuple(draw(st.lists(st.integers(0, 4), min_size=k,
+                                   max_size=k)))
+    length = F(draw(st.integers(1, 8)), 9)
+    return IndexPattern(labels), WeightSpec(exponents), p_levels, length
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxes())
+def test_square_sum_lookup_matches_direct_sums_and_the_bound(box):
+    pattern, w, p_levels, length = box
+    table = _table4(w.exponents)
+    squares, lcm = table.square_sum(p_levels)
+    index, nums, same_lcm = table.integer_cores(p_levels)
+    assert same_lcm == lcm
+    assert index == list(itertools.product(*(range(p + 1) for p in p_levels)))
+    assert nums == [table[j].core * lcm for j in index]
+    assert squares == sum(math.prod(2 * m + 1 for m in j) * n * n
+                          for j, n in zip(index, nums))
+    interval = Interval.from_length(length)
+    assert mse_bound_exact(pattern, p_levels, w, interval, table=table) \
+        == factorial_bound(pattern.k, p_levels, w, interval, table)
