@@ -2,10 +2,11 @@
 
 The kernel on [t, T]^k is the product of monomial weights (s - t)^q_l
 restricted to the ordered region t_1 < ... < t_k. Its projection onto a
-product of orthonormal Legendre basis functions is computed exactly by
-nested antidifferentiation on [-1, 1]^k and stored scale-free: a rational
-core together with sqrt, interval-power and dyadic factors. One table
-therefore serves every interval length.
+product of orthonormal Legendre basis functions is computed exactly and
+stored scale-free: a rational core together with sqrt, interval-power and
+dyadic factors. One table therefore serves every interval length. One
+routine integrates every core and the kernel norm in u = (x + 1) / 2,
+where the shifted Legendre polynomials have integer coefficients.
 
 A table is an immutable ``CoeffTable``: a read-only mapping from
 multi-index to ``CoeffValue`` that knows its weights and truncation order.
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .polycore import ONE, Poly, RationalLike, legendre
+from .polycore import RationalLike
 
 MultiIndex = tuple[int, ...]
 
@@ -249,15 +250,6 @@ def require_table(table) -> None:
             f"got {type(table).__name__}")
 
 
-@lru_cache(maxsize=None)
-def _xp1_pow(q: int) -> Poly:
-    # (x + 1) ** q
-    out = ONE
-    for _ in range(q):
-        out = out * Poly([1, 1])
-    return out
-
-
 def _check_caps(w: WeightSpec, max_mode: int, entries: int,
                 degree_cap: int, exponent_cap: int):
     if max_mode > degree_cap:
@@ -273,13 +265,57 @@ def _check_caps(w: WeightSpec, max_mode: int, entries: int,
             f"{MAX_TABLE_ENTRIES}")
 
 
-def _simplex_core(j: MultiIndex, exponents: tuple[int, ...]) -> Fraction:
-    # nested integral over -1 < x_1 < ... < x_k < 1 of
-    # prod (x_l + 1)^q_l P_{j_l}(x_l), innermost level first
-    g = ONE
-    for mode, q in zip(j, exponents):
-        g = (_xp1_pow(q) * legendre(mode) * g).antiderivative_from(-1)
-    return g(1)
+def _simplex_cores(exponents: Sequence[int],
+                   modes: Sequence[Sequence[int]]) -> list[Fraction]:
+    # Cores of modes[0] x ... x modes[k - 1], in that order. The integral over
+    # -1 < x_1 < ... < x_k < 1 of prod (x_l + 1)^q_l P_{j_l}(x_l), j_1
+    # innermost, is 2^(k + sum q) times the integral in u = (x + 1) / 2 of
+    # prod u_l^q_l P_{j_l}(2 u_l - 1). The moments int_0^1 u^n P_m(2u - 1) du
+    # = n!^2 / ((n - m)! (n + m + 1)!), zero for n < m, share one factorial.
+    k, top = len(exponents), max(max(ms) for ms in modes)
+    rows = [[(-1) ** (n + i) * math.comb(n, i) * math.comb(n + i, i)
+             for i in range(n + 1)] for n in range(top + 1)]
+    # top degree of the integrand at the outermost level
+    deg = sum(q + max(ms) + 1 for q, ms in zip(exponents, modes[:-1])) \
+        + exponents[-1]
+    fact = [math.factorial(n) for n in range(deg + max(modes[-1]) + 2)]
+    moments = {m: [fact[n] ** 2 // fact[n - m] * fact[-1] // fact[n + m + 1]
+                   if n >= m else 0 for n in range(exponents[-1], deg + 1)]
+               for m in modes[-1]}
+    # integrating from 0 takes c u^i to c * spread[i] u^(i + 1) over lcm
+    lcm = math.lcm(*range(1, deg + 1))
+    spread = [lcm // (i + 1) for i in range(deg)]
+    out: list[Fraction] = []
+
+    def descend(level: int, nums: list[int], den: int):
+        if level == k - 1:
+            den *= fact[-1]
+            for m in modes[-1]:
+                out.append(Fraction(
+                    sum(map(operator.mul, nums, moments[m])), den))
+            return
+        base = [0] * exponents[level] + nums
+        for m in modes[level]:
+            prod = [0] * (len(base) + m)
+            for i, b in enumerate(base):
+                if b:
+                    for r, c in enumerate(rows[m], i):
+                        prod[r] += b * c
+            up = [0] + [c * f for c, f in zip(prod, spread)]
+            g = math.gcd(den * lcm, *up)
+            descend(level + 1, [c // g for c in up], den * lcm // g)
+
+    descend(0, [2 ** (k + sum(exponents))], 1)
+    return out
+
+
+def _coeff_values(w: WeightSpec, index: Iterable[MultiIndex],
+                  cores: Iterable[Fraction]) -> dict[MultiIndex, CoeffValue]:
+    # each core with the scale factors of its multi-index under w
+    sum_q = sum(w.exponents)
+    return {j: CoeffValue(core, tuple(2 * m + 1 for m in j),
+                          w.k + 2 * sum_q, w.k + sum_q)
+            for j, core in zip(index, cores)}
 
 
 def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
@@ -297,13 +333,8 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
     if any(m < 0 for m in j):
         raise ValueError(f"modes must be nonnegative, got {j}")
     _check_caps(w, max(j), 1, degree_cap, exponent_cap)
-    sum_q = sum(w.exponents)
-    return CoeffValue(
-        core=_simplex_core(j, w.exponents),
-        sqrt_factors=tuple(2 * m + 1 for m in j),
-        half_power=w.k + 2 * sum_q,
-        two_power=w.k + sum_q,
-    )
+    cores = _simplex_cores(w.exponents, [(m,) for m in j])
+    return _coeff_values(w, [j], cores)[j]
 
 
 @lru_cache(maxsize=256)
@@ -313,29 +344,9 @@ def kernel_norm(w: WeightSpec) -> CoeffValue:
     This is the integral of K^2 over the hypercube, i.e. the nested simplex
     integral of prod psi_l^2. Reconstruct with ``CoeffValue.value``.
     """
-    g = ONE
-    for q in w.exponents:
-        g = (_xp1_pow(2 * q) * g).antiderivative_from(-1)
+    core, = _simplex_cores([2 * q for q in w.exponents], [(0,)] * w.k)
     m = w.k + 2 * sum(w.exponents)
-    return CoeffValue(core=g(1), sqrt_factors=(), half_power=2 * m, two_power=m)
-
-
-def _compute_cores(w: WeightSpec, p: int) -> dict[MultiIndex, Fraction]:
-    # shared-prefix recursion: sibling multi-indices reuse the inner integrals
-    k = w.k
-    out: dict[MultiIndex, Fraction] = {}
-
-    def descend(level: int, g: Poly, prefix: MultiIndex):
-        if level == k:
-            out[prefix] = g(1)
-            return
-        base = _xp1_pow(w.exponents[level]) * g
-        for mode in range(p + 1):
-            descend(level + 1, (base * legendre(mode)).antiderivative_from(-1),
-                    prefix + (mode,))
-
-    descend(0, ONE, ())
-    return out
+    return CoeffValue(core=core, sqrt_factors=(), half_power=2 * m, two_power=m)
 
 
 def coefficient_table(w: WeightSpec, p: int, *,
@@ -369,16 +380,9 @@ def coefficient_table(w: WeightSpec, p: int, *,
                     f"p={stored_p}; expected {w}, p={p}")
             return table
 
-    sum_q = sum(w.exponents)
-    half_power = w.k + 2 * sum_q
-    two_power = w.k + sum_q
-    cores = _compute_cores(w, p)
-    table = CoeffTable(w, p, {
-        j: CoeffValue(core=cores[j],
-                      sqrt_factors=tuple(2 * m + 1 for m in j),
-                      half_power=half_power, two_power=two_power)
-        for j in sorted(cores)
-    })
+    table = CoeffTable(w, p, _coeff_values(
+        w, itertools.product(range(p + 1), repeat=w.k),
+        _simplex_cores(w.exponents, [range(p + 1)] * w.k)))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(path, w, p, table, degree_cap=degree_cap)
@@ -473,10 +477,11 @@ def save_table(path: Union[str, Path], w: WeightSpec, p: int,
 
 def load_table(path: Union[str, Path],
                ) -> tuple[WeightSpec, int, CoeffTable]:
-    """Read a table back, verifying its checksum.
+    """Read a table back, verifying its checksum and its entries.
 
-    Raises CacheIntegrityError on malformed JSON, missing fields, or a
-    checksum mismatch.
+    Raises CacheIntegrityError on malformed JSON, missing fields, a checksum
+    mismatch, or entries other than {0..p}^k in lexicographic order with the
+    powers of the stored weights.
     """
     path = Path(path)
     try:
@@ -493,21 +498,16 @@ def load_table(path: Union[str, Path],
             raise CacheIntegrityError(f"checksum mismatch in cache file {path}")
         w = WeightSpec(tuple(doc["exponents"]))
         p = int(doc["p"])
-        table = {}
-        for entry in doc["entries"]:
-            j = tuple(int(m) for m in entry["j"])
-            table[j] = CoeffValue(
-                core=Fraction(entry["core"]),
-                sqrt_factors=tuple(2 * m + 1 for m in j),
-                half_power=int(entry["half_power"]),
-                two_power=int(entry["two_power"]),
-            )
+        listed = [(tuple(e["j"]), e["half_power"], e["two_power"])
+                  for e in doc["entries"]]
+        table = _coeff_values(w, itertools.product(range(p + 1), repeat=w.k),
+                              [Fraction(e["core"]) for e in doc["entries"]])
     except CacheIntegrityError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheIntegrityError(f"malformed cache file {path}: {exc}") from exc
-    if len(table) != (p + 1) ** w.k:
+    if listed != [(j, v.half_power, v.two_power) for j, v in table.items()]:
         raise CacheIntegrityError(
-            f"cache file {path} has {len(table)} entries, "
-            f"expected {(p + 1) ** w.k}")
+            f"cache file {path} does not hold {{0..{p}}}^{w.k} in lexicographic "
+            "order with the powers of its weights")
     return w, p, CoeffTable(w, p, table)

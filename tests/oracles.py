@@ -1,9 +1,9 @@
 """Independent oracles shared by the unit and acceptance suites.
 
-Everything here is deliberately computed without the package's exact
-antidifferentiation or orbit-sum machinery: hand-transcribed term lists,
-closed forms, brute-force enumeration over permutation groups, and
-numerical quadrature.
+Everything here is deliberately computed without the package's
+coefficient routine or orbit-sum machinery: hand-transcribed term lists,
+closed forms, an antiderivative chain on the public ``Poly`` type in x,
+brute-force enumeration over permutation groups, and numerical quadrature.
 """
 
 import itertools
@@ -28,7 +28,7 @@ from itolegendre.expansion import (
     MissingCoefficientError,
     enumerate_matchings,
 )
-from itolegendre.polycore import Poly, RationalLike
+from itolegendre.polycore import ONE, Poly, RationalLike, legendre
 from itolegendre.msekit import (
     _CASE_BY_KEY,
     MseReport,
@@ -163,6 +163,18 @@ def definite_integral(a: Poly, lo: RationalLike, hi: RationalLike) -> Fraction:
         raise ValueError("integration bounds must satisfy lo <= hi")
     f = a.antiderivative()
     return f(hi) - f(lo)
+
+
+def poly_chain_core(j: MultiIndex, exponents: tuple[int, ...]) -> Fraction:
+    # nested integral over -1 < x_1 < ... < x_k < 1 of
+    # prod (x_l + 1)^q_l P_{j_l}(x_l), innermost level first
+    g = ONE
+    for mode, q in zip(j, exponents):
+        xp1_pow = ONE
+        for _ in range(q):
+            xp1_pow = xp1_pow * Poly([1, 1])
+        g = (xp1_pow * legendre(mode) * g).antiderivative_from(-1)
+    return g(1)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import itolegendre.coeffs as coeffs
 from itolegendre.cli import main
 
 
@@ -220,6 +221,23 @@ def test_cache_corruption_exits_three(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "coeffs", "--k", "2", "--p", "1")
     assert code == 3
     assert "checksum" in err
+
+
+@pytest.mark.parametrize("field,value", [("j", [0, 5]), ("half_power", 4)])
+def test_mse_exits_three_on_entries_the_weights_do_not_give(
+        tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.setenv("COEFF_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "mse", "--pattern", "1,2", "--p", "1")
+    assert code == 0
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc["entries"][0][field] = value
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "mse", "--pattern", "1,2", "--p", "1")
+    assert (code, out) == (3, "")
+    assert "lexicographic" in err
 
 
 def test_exponent_count_mismatch_exits_two(capsys):

@@ -1,5 +1,6 @@
 """Coefficient layer: exact values, scaling, quadrature oracle, cache."""
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -13,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import basis_phi, gauss_coefficient, ordered_monomial_integral
+from oracles import (
+    basis_phi,
+    gauss_coefficient,
+    ordered_monomial_integral,
+    poly_chain_core,
+)
 
 import itolegendre.coeffs as coeffs
 from itolegendre.coeffs import (
@@ -192,6 +198,33 @@ def test_quadrature_cross_check(k):
             exact = fourier_coefficient(j, w).value(iv)
             quad = gauss_coefficient(j, w, iv)
             assert exact == pytest.approx(quad, abs=1e-10)
+
+
+# --- x-space antiderivative oracle -------------------------------------------
+
+
+@st.composite
+def simplex_cases(draw):
+    """Weights of multiplicity 1..5 with exponents 0..3, a multi-index with
+    modes 0..6, and a table order 0..3."""
+    k = draw(st.integers(1, 5))
+    exponents = tuple(draw(st.lists(st.integers(0, 3), min_size=k,
+                                    max_size=k)))
+    j = tuple(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)))
+    return WeightSpec(exponents), j, draw(st.integers(0, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplex_cases())
+def test_cores_equal_the_x_space_chain(case):
+    w, j, p = case
+    assert fourier_coefficient(j, w).core == poly_chain_core(j, w.exponents)
+    doubled = tuple(2 * q for q in w.exponents)
+    assert kernel_norm(w).core == poly_chain_core((0,) * w.k, doubled)
+    table = coefficient_table(w, p)
+    assert list(table) == list(itertools.product(range(p + 1), repeat=w.k))
+    for i, cv in table.items():
+        assert cv.core == poly_chain_core(i, w.exponents)
 
 
 # --- tables ------------------------------------------------------------------
@@ -376,6 +409,36 @@ def test_cache_rejects_checksum_field_tampering(tmp_path):
     doc["checksum"] = "0" * 64
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheIntegrityError):
+        load_table(path)
+
+
+def _move_origin(doc):
+    doc["entries"][0]["j"] = [0, 5]
+
+
+def _raise_half_powers(doc):
+    for entry in doc["entries"]:
+        entry["half_power"] += 2
+
+
+def _swap_first_entries(doc):
+    entries = doc["entries"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+@pytest.mark.parametrize("edit", [_move_origin, _raise_half_powers,
+                                  _swap_first_entries])
+def test_cache_rejects_entries_the_weights_do_not_give(tmp_path, edit):
+    # edited files with a fresh checksum: only the entries give them away
+    w = WeightSpec.unit(2)
+    coefficient_table(w, 1, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    edit(doc)
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheIntegrityError, match="lexicographic"):
         load_table(path)
 
 
