@@ -2,11 +2,11 @@
 
 The kernel on [t, T]^k is the product of monomial weights (s - t)^q_l
 restricted to the ordered region t_1 < ... < t_k. Its projection onto a
-product of orthonormal Legendre basis functions is computed exactly and
-stored scale-free: a rational core together with sqrt, interval-power and
-dyadic factors. One table therefore serves every interval length. One
-routine integrates every core and the kernel norm in u = (x + 1) / 2,
-where the shifted Legendre polynomials have integer coefficients.
+product of orthonormal Legendre basis functions is computed exactly by
+nested antidifferentiation on [-1, 1]^k and stored scale-free: a rational
+core together with sqrt, interval-power and dyadic factors. One table
+therefore serves every interval length. One routine integrates every core
+of a table, a single coefficient and the kernel norm.
 
 A table is an immutable ``CoeffTable``: a read-only mapping from
 multi-index to ``CoeffValue`` that knows its weights and truncation order.
@@ -38,7 +38,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .polycore import RationalLike
+from .polycore import ONE, Poly, RationalLike, legendre
 
 MultiIndex = tuple[int, ...]
 
@@ -267,45 +267,22 @@ def _check_caps(w: WeightSpec, max_mode: int, entries: int,
 
 def _simplex_cores(exponents: Sequence[int],
                    modes: Sequence[Sequence[int]]) -> list[Fraction]:
-    # Cores of modes[0] x ... x modes[k - 1], in that order. The integral over
-    # -1 < x_1 < ... < x_k < 1 of prod (x_l + 1)^q_l P_{j_l}(x_l), j_1
-    # innermost, is 2^(k + sum q) times the integral in u = (x + 1) / 2 of
-    # prod u_l^q_l P_{j_l}(2 u_l - 1). The moments int_0^1 u^n P_m(2u - 1) du
-    # = n!^2 / ((n - m)! (n + m + 1)!), zero for n < m, share one factorial.
-    k, top = len(exponents), max(max(ms) for ms in modes)
-    rows = [[(-1) ** (n + i) * math.comb(n, i) * math.comb(n + i, i)
-             for i in range(n + 1)] for n in range(top + 1)]
-    # top degree of the integrand at the outermost level
-    deg = sum(q + max(ms) + 1 for q, ms in zip(exponents, modes[:-1])) \
-        + exponents[-1]
-    fact = [math.factorial(n) for n in range(deg + max(modes[-1]) + 2)]
-    moments = {m: [fact[n] ** 2 // fact[n - m] * fact[-1] // fact[n + m + 1]
-                   if n >= m else 0 for n in range(exponents[-1], deg + 1)]
-               for m in modes[-1]}
-    # integrating from 0 takes c u^i to c * spread[i] u^(i + 1) over lcm
-    lcm = math.lcm(*range(1, deg + 1))
-    spread = [lcm // (i + 1) for i in range(deg)]
+    # Cores of modes[0] x ... x modes[k - 1], in that (lexicographic) order:
+    # the nested integral over -1 < x_1 < ... < x_k < 1 of
+    # prod (x_l + 1)^q_l P_{j_l}(x_l), j_1 innermost. Sibling multi-indices
+    # share their inner integrals; the shifts (x + 1)^q are derived per call.
+    shifts = [Poly([math.comb(q, i) for i in range(q + 1)]) for q in exponents]
     out: list[Fraction] = []
 
-    def descend(level: int, nums: list[int], den: int):
-        if level == k - 1:
-            den *= fact[-1]
-            for m in modes[-1]:
-                out.append(Fraction(
-                    sum(map(operator.mul, nums, moments[m])), den))
+    def descend(level: int, g: Poly):
+        if level == len(shifts):
+            out.append(g(1))
             return
-        base = [0] * exponents[level] + nums
-        for m in modes[level]:
-            prod = [0] * (len(base) + m)
-            for i, b in enumerate(base):
-                if b:
-                    for r, c in enumerate(rows[m], i):
-                        prod[r] += b * c
-            up = [0] + [c * f for c, f in zip(prod, spread)]
-            g = math.gcd(den * lcm, *up)
-            descend(level + 1, [c // g for c in up], den * lcm // g)
+        base = shifts[level] * g
+        for mode in modes[level]:
+            descend(level + 1, (base * legendre(mode)).antiderivative_from(-1))
 
-    descend(0, [2 ** (k + sum(exponents))], 1)
+    descend(0, ONE)
     return out
 
 

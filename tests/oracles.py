@@ -2,12 +2,13 @@
 
 Everything here is deliberately computed without the package's
 coefficient routine or orbit-sum machinery: hand-transcribed term lists,
-closed forms, an antiderivative chain on the public ``Poly`` type in x,
+closed forms, an integer simplex-integral chain in u = (x + 1) / 2,
 brute-force enumeration over permutation groups, and numerical quadrature.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -28,7 +29,7 @@ from itolegendre.expansion import (
     MissingCoefficientError,
     enumerate_matchings,
 )
-from itolegendre.polycore import ONE, Poly, RationalLike, legendre
+from itolegendre.polycore import Poly, RationalLike
 from itolegendre.msekit import (
     _CASE_BY_KEY,
     MseReport,
@@ -165,16 +166,53 @@ def definite_integral(a: Poly, lo: RationalLike, hi: RationalLike) -> Fraction:
     return f(hi) - f(lo)
 
 
-def poly_chain_core(j: MultiIndex, exponents: tuple[int, ...]) -> Fraction:
-    # nested integral over -1 < x_1 < ... < x_k < 1 of
-    # prod (x_l + 1)^q_l P_{j_l}(x_l), innermost level first
-    g = ONE
-    for mode, q in zip(j, exponents):
-        xp1_pow = ONE
-        for _ in range(q):
-            xp1_pow = xp1_pow * Poly([1, 1])
-        g = (xp1_pow * legendre(mode) * g).antiderivative_from(-1)
-    return g(1)
+def integer_chain_cores(exponents, modes) -> list[Fraction]:
+    """Simplex cores of modes[0] x ... x modes[k - 1], in that order, in
+    integer arithmetic on [0, 1] instead of the package's x-space chain.
+
+    The integral over -1 < x_1 < ... < x_k < 1 of prod (x_l + 1)^q_l
+    P_{j_l}(x_l), j_1 innermost, is 2^(k + sum q) times the integral in
+    u = (x + 1) / 2 of prod u_l^q_l P_{j_l}(2 u_l - 1). The shifted Legendre
+    rows (-1)^(n+i) C(n, i) C(n+i, i) are integers, so each inner integral
+    from 0 is an integer polynomial over one denominator, and the outermost
+    level is a dot product with the moments int_0^1 u^n P_m(2u - 1) du =
+    n!^2 / ((n - m)! (n + m + 1)!), zero for n < m.
+    """
+    k, top = len(exponents), max(max(ms) for ms in modes)
+    rows = [[(-1) ** (n + i) * math.comb(n, i) * math.comb(n + i, i)
+             for i in range(n + 1)] for n in range(top + 1)]
+    # top degree of the integrand at the outermost level
+    deg = sum(q + max(ms) + 1 for q, ms in zip(exponents, modes[:-1])) \
+        + exponents[-1]
+    fact = [math.factorial(n) for n in range(deg + max(modes[-1]) + 2)]
+    moments = {m: [fact[n] ** 2 // fact[n - m] * fact[-1] // fact[n + m + 1]
+                   if n >= m else 0 for n in range(exponents[-1], deg + 1)]
+               for m in modes[-1]}
+    # integrating from 0 takes c u^i to c * spread[i] u^(i + 1) over lcm
+    lcm = math.lcm(*range(1, deg + 1))
+    spread = [lcm // (i + 1) for i in range(deg)]
+    out: list[Fraction] = []
+
+    def descend(level: int, nums: list[int], den: int):
+        if level == k - 1:
+            den *= fact[-1]
+            for m in modes[-1]:
+                out.append(Fraction(
+                    sum(map(operator.mul, nums, moments[m])), den))
+            return
+        base = [0] * exponents[level] + nums
+        for m in modes[level]:
+            prod = [0] * (len(base) + m)
+            for i, b in enumerate(base):
+                if b:
+                    for r, c in enumerate(rows[m], i):
+                        prod[r] += b * c
+            up = [0] + [c * f for c, f in zip(prod, spread)]
+            g = math.gcd(den * lcm, *up)
+            descend(level + 1, [c // g for c in up], den * lcm // g)
+
+    descend(0, [2 ** (k + sum(exponents))], 1)
+    return out
 
 
 @dataclass(frozen=True)

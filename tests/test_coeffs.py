@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from oracles import (
     basis_phi,
     gauss_coefficient,
+    integer_chain_cores,
     ordered_monomial_integral,
-    poly_chain_core,
 )
 
 import itolegendre.coeffs as coeffs
@@ -200,7 +200,7 @@ def test_quadrature_cross_check(k):
             assert exact == pytest.approx(quad, abs=1e-10)
 
 
-# --- x-space antiderivative oracle -------------------------------------------
+# --- integer u-space oracle --------------------------------------------------
 
 
 @st.composite
@@ -216,15 +216,16 @@ def simplex_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(simplex_cases())
-def test_cores_equal_the_x_space_chain(case):
+def test_cores_equal_the_integer_chain(case):
     w, j, p = case
-    assert fourier_coefficient(j, w).core == poly_chain_core(j, w.exponents)
+    assert [fourier_coefficient(j, w).core] == integer_chain_cores(
+        w.exponents, [(m,) for m in j])
     doubled = tuple(2 * q for q in w.exponents)
-    assert kernel_norm(w).core == poly_chain_core((0,) * w.k, doubled)
+    assert [kernel_norm(w).core] == integer_chain_cores(doubled, [(0,)] * w.k)
     table = coefficient_table(w, p)
     assert list(table) == list(itertools.product(range(p + 1), repeat=w.k))
-    for i, cv in table.items():
-        assert cv.core == poly_chain_core(i, w.exponents)
+    assert [cv.core for cv in table.values()] == integer_chain_cores(
+        w.exponents, [range(p + 1)] * w.k)
 
 
 # --- tables ------------------------------------------------------------------
