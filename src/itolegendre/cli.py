@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -33,7 +32,8 @@ from .coeffs import (
 )
 from .expansion import IndexPattern
 from .msekit import PatternScopeError, exact_mse, list_cases, mse_bound_exact
-from .montecarlo import McConfig, run_report
+from .montecarlo import (McConfig, peak_bytes_per_thread, run_report,
+                         thread_count)
 
 SCHEMA_VERSION = 1
 
@@ -174,8 +174,18 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _available_memory() -> Optional[int]:
+    """Bytes the host reports available (Linux MemAvailable), else None."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            return next(int(line.split()[1]) * 1024 for line in meminfo
+                        if line.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return None
+
+
 def cmd_validate(args) -> int:
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     pattern = IndexPattern.parse(args.pattern)
     w = _parse_exponents(args.q, pattern.k)
@@ -186,7 +196,14 @@ def cmd_validate(args) -> int:
         cfg = McConfig(pattern=pattern, p=args.p, weights=w, interval=interval,
                        n_paths=args.n_paths, n_steps=args.n_steps,
                        seed=args.seed)
-    report = run_report(cfg, threads=args.threads)
+    threads = thread_count(cfg, args.threads)
+    need, available = threads * peak_bytes_per_thread(cfg), _available_memory()
+    if available is not None and need > available:
+        raise ValueError(
+            f"--threads {threads} needs about {need / 2 ** 20:.0f} MB of path "
+            f"buffers, more than the {available / 2 ** 20:.0f} MB available; "
+            "lower --threads")
+    report = run_report(cfg, threads=threads)
     for line in report["warnings"]:
         print(f"warning: {line}", file=sys.stderr)
     doc = {
@@ -194,7 +211,7 @@ def cmd_validate(args) -> int:
             "pattern": list(pattern.labels), "p": args.p,
             "q": list(w.exponents), "len": str(interval.length),
             "n_paths": args.n_paths, "n_steps": args.n_steps,
-            "threads": args.threads}, args.seed),
+            "threads": threads}, args.seed),
         "result": report,
     }
     row = {
@@ -271,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-paths", type=int, default=100_000)
     p.add_argument("--n-steps", type=int, default=2048)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: the usable CPUs, at most "
+                        "one per chunk of paths)")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cases", help="list the coincidence-case catalog")

@@ -8,15 +8,21 @@ variance. Estimates are deterministic given the configuration seed, use
 batch-means standard errors, and are safe to compute across threads
 (chunks draw from disjoint seed substreams and the reduction is
 order-insensitive).
+
+Each thread keeps (chunk rows, steps) buffers for the whole run. A label's
+standard normals are drawn straight into one, in sorted label order, and
+projected with sqrt(dt) folded into the basis; the iterated sums then run
+in place (``_iterated_sums``), with dt folded into one final factor.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,26 +81,59 @@ def _phi_matrix(p: int, n_steps: int, interval: Interval) -> np.ndarray:
     return van * np.sqrt((2.0 * np.arange(p + 1) + 1.0) / length)
 
 
-def _exclusive_cumsum(c: np.ndarray) -> np.ndarray:
-    out = np.empty_like(c)
-    out[..., 0] = 0.0
-    np.cumsum(c[..., :-1], axis=-1, out=out[..., 1:])
-    return out
+class _Pool:
+    """Reusable (rows, steps) float buffers of one thread."""
+
+    def __init__(self, rows: int, steps: int):
+        self.shape, self.free = (rows, steps), []
+
+    def take(self, rows: int) -> np.ndarray:
+        return (self.free.pop() if self.free else np.empty(self.shape))[:rows]
+
+    def give(self, buf: np.ndarray) -> None:
+        self.free.append(buf.base)
 
 
-def _iterated_sums(increments: Mapping[int, np.ndarray], w: WeightSpec,
-                   pattern: IndexPattern, interval: Interval) -> np.ndarray:
-    n_steps = next(iter(increments.values())).shape[-1]
-    dt = float(interval.length) / n_steps
-    s_rel = np.arange(n_steps) * dt
-    running = None
-    for level, (label, q) in enumerate(zip(pattern.labels, w.exponents)):
-        c = increments[label] * s_rel ** q if q else increments[label]
-        if running is not None:
-            c = c * running
-        if level < pattern.k - 1:
-            running = _exclusive_cumsum(c)
-    return c.sum(axis=-1)
+def _iterated_sums(fetch: Callable[[int], np.ndarray], pattern: IndexPattern,
+                   exponents: Sequence[int], pool: _Pool) -> np.ndarray:
+    """Left-point iterated sums of a batch of paths, one per row.
+
+    ``fetch(label)`` hands over a label's increments once, in a ``pool``
+    buffer. The weight (s - t)^q enters as step^q, so the sums still need
+    the factor dt^(q_1 + ... + q_k). Level m's running sum, zero before step
+    m, is formed in place shifted m steps left, and buffers go back to the
+    pool after their last level: at most (distinct labels + 1) are held.
+    """
+    last = {label: m for m, label in enumerate(pattern.labels)}
+    rows: dict[int, np.ndarray] = {}
+    for m, (label, q) in enumerate(zip(pattern.labels, exponents)):
+        if label not in rows:
+            rows[label] = fetch(label)
+        inc = rows.pop(label) if last[label] == m else rows[label]
+        n = inc.shape[1]
+        if m == 0:
+            run = inc
+            if label in rows:  # needed again: sum a copy
+                run = pool.take(len(inc))
+                run[...] = inc
+            cur = run
+        else:
+            # cur[:, i - m] is level m - 1's sum over the steps before i
+            cur = run[:, :max(n - m, 0)]
+            if m < pattern.k - 1:
+                np.multiply(inc[:, m:], cur, out=cur)
+        if q:
+            cur *= np.arange(m, n, dtype=float) ** q
+        if m < pattern.k - 1:
+            np.cumsum(cur, axis=1, out=cur)
+        elif m:
+            total = np.einsum("ij,ij->i", inc[:, m:], cur)
+        else:
+            total = cur.sum(axis=1)
+        if inc is not run and label not in rows:
+            pool.give(inc)
+    pool.give(run)
+    return total
 
 
 def simulate_true_integral(path: Mapping[int, np.ndarray], w: WeightSpec,
@@ -109,9 +148,17 @@ def simulate_true_integral(path: Mapping[int, np.ndarray], w: WeightSpec,
     """
     rows = {label: np.asarray(row, dtype=float) for label, row in path.items()}
     batched = next(iter(rows.values())).ndim == 2
-    if not batched:
-        rows = {label: row[np.newaxis, :] for label, row in rows.items()}
-    out = _iterated_sums(rows, w, pattern, interval)
+    n_rows, n_steps = np.atleast_2d(next(iter(rows.values()))).shape
+    pool = _Pool(n_rows, n_steps)
+
+    def fetch(label: int) -> np.ndarray:  # a copy: the kernel overwrites it
+        buf = pool.take(n_rows)
+        buf[...] = rows[label]
+        return buf
+
+    dt = float(interval.length) / n_steps
+    out = _iterated_sums(fetch, pattern, w.exponents, pool) \
+        * dt ** sum(w.exponents)
     return out if batched else float(out[0])
 
 
@@ -128,47 +175,90 @@ def zetas_from_path(path: Mapping[int, np.ndarray], p: int,
                         zeta={label: row @ phi for label, row in rows.items()})
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunking(cfg: McConfig) -> tuple[int, int]:
+    """Paths per chunk and the number of chunks."""
+    chunk = max(1, CHUNK_FLOATS // cfg.n_steps)
+    return chunk, -(-cfg.n_paths // chunk)
+
+
+def thread_count(cfg: McConfig, threads: Optional[int] = None) -> int:
+    """``threads`` (default: the usable CPUs), capped at the chunk count."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    return min(threads or _usable_cpus(), _chunking(cfg)[1])
+
+
+def peak_bytes_per_thread(cfg: McConfig) -> int:
+    """Bound on one thread's buffers: (distinct labels + 1) chunk arrays."""
+    rows = min(_chunking(cfg)[0], cfg.n_paths)
+    return (len(set(cfg.pattern.labels)) + 1) * rows * cfg.n_steps * 8
+
+
 def empirical_mse(cfg: McConfig, table: CoeffTable, *,
-                  threads: int = 1) -> McEstimate:
+                  threads: Optional[int] = None) -> McEstimate:
     """Coupled estimate of the mean-square truncation error.
 
     Averages (J_true - J_p)^2 over paths, where both values come from the
     same increments. Returns the mean and its batch-means standard error.
-    Identical configurations produce bit-identical results regardless of
-    the thread count.
+    ``threads`` defaults to the usable CPUs, capped at the number of
+    chunks (``thread_count``). Identical configurations produce
+    bit-identical results regardless of the thread count.
     """
-    distinct = sorted(set(cfg.pattern.labels))
-    nonzero = [label for label in distinct if label != 0]
+    nonzero = sorted(set(cfg.pattern.labels) - {0})
     length = float(cfg.interval.length)
     dt = length / cfg.n_steps
     phi = _phi_matrix(cfg.p, cfg.n_steps, cfg.interval)
+    # raw increments: standard normals for Wiener rows, ones for the time row
+    phi_w, phi_t = phi * math.sqrt(dt), phi * dt
+    scale = math.prod(math.sqrt(dt) if label else dt
+                      for label in cfg.pattern.labels) \
+        * dt ** sum(cfg.weights.exponents)
     plan = expansion_plan(cfg.pattern, cfg.p, table)
 
-    chunk = max(1, CHUNK_FLOATS // cfg.n_steps)
-    starts = range(0, cfg.n_paths, chunk)
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(starts))
+    chunk, n_chunks = _chunking(cfg)
+    threads = thread_count(cfg, threads)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
     sq = np.empty(cfg.n_paths)
 
-    def run_chunk(idx: int, start: int):
-        stop = min(start + chunk, cfg.n_paths)
+    def run_chunk(idx: int, pool: _Pool):
+        start = idx * chunk
+        rows = min(chunk, cfg.n_paths - start)
         rng = np.random.default_rng(seeds[idx])
-        incr = {}
-        for label in nonzero:
-            incr[label] = rng.standard_normal((stop - start, cfg.n_steps))
-            incr[label] *= math.sqrt(dt)
-        if 0 in distinct:
-            incr[0] = np.full((stop - start, cfg.n_steps), dt)
-        j_true = _iterated_sums(incr, cfg.weights, cfg.pattern, cfg.interval)
-        zeta = {label: row @ phi for label, row in incr.items()}
-        j_p = plan.values(zeta, length)
-        sq[start:stop] = (j_true - j_p) ** 2
+        pending = iter(nonzero)
+        drawn: dict[int, np.ndarray] = {}
+        zeta: dict[int, np.ndarray] = {}
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(len(starts)), starts))
-    else:
-        for idx, start in enumerate(starts):
-            run_chunk(idx, start)
+        def fetch(label: int) -> np.ndarray:
+            while label not in drawn:  # Wiener rows in sorted label order
+                nxt = next(pending) if label else 0
+                buf = drawn[nxt] = pool.take(rows)
+                if nxt:
+                    rng.standard_normal(out=buf)
+                else:
+                    buf.fill(1.0)
+                zeta[nxt] = buf @ (phi_w if nxt else phi_t)
+            return drawn.pop(label)
+
+        j_true = _iterated_sums(fetch, cfg.pattern, cfg.weights.exponents,
+                                pool) * scale
+        j_p = plan.values(zeta, length)
+        sq[start:start + rows] = (j_true - j_p) ** 2
+
+    def work(first: int):
+        pool = _Pool(min(chunk, cfg.n_paths), cfg.n_steps)
+        for idx in range(first, n_chunks, threads):
+            run_chunk(idx, pool)
+
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        list(executor.map(work, range(threads)))
 
     estimate = math.fsum(sq) / cfg.n_paths
     n_batches = min(_N_BATCHES, cfg.n_paths)
@@ -179,7 +269,7 @@ def empirical_mse(cfg: McConfig, table: CoeffTable, *,
 
 def run_report(cfg: McConfig, *,
                table: Optional[CoeffTable] = None,
-               threads: int = 1, cache_dir=None) -> dict:
+               threads: Optional[int] = None, cache_dir=None) -> dict:
     """Validation run as a JSON-ready report.
 
     Echoes the configuration, reports the empirical estimate with its

@@ -463,3 +463,32 @@ def factorial_bound(k: int, p_levels, w: WeightSpec, interval: Interval,
         captured += cv.core ** 2 * math.prod(cv.sqrt_factors) \
             * F(1, 4 ** cv.two_power) * length ** cv.half_power
     return math.factorial(k) * (energy - captured)
+
+
+# --- fresh-array route to the left-point iterated sums ----------------------
+#
+# The Monte Carlo's sums as they were first written: scaled increments, a new
+# array per level and an exclusive cumulative sum; independent of the
+# in-place kernel.
+
+
+def _exclusive_cumsum(c: np.ndarray) -> np.ndarray:
+    out = np.empty_like(c)
+    out[..., 0] = 0.0
+    np.cumsum(c[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _iterated_sums(increments: Mapping[int, np.ndarray], w: WeightSpec,
+                   pattern: IndexPattern, interval: Interval) -> np.ndarray:
+    n_steps = next(iter(increments.values())).shape[-1]
+    dt = float(interval.length) / n_steps
+    s_rel = np.arange(n_steps) * dt
+    running = None
+    for level, (label, q) in enumerate(zip(pattern.labels, w.exponents)):
+        c = increments[label] * s_rel ** q if q else increments[label]
+        if running is not None:
+            c = c * running
+        if level < pattern.k - 1:
+            running = _exclusive_cumsum(c)
+    return c.sum(axis=-1)

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import itolegendre.cli as cli
 import itolegendre.coeffs as coeffs
+import itolegendre.montecarlo as montecarlo
 from itolegendre.cli import main
 
 
@@ -176,6 +178,43 @@ def test_validate_rejects_threads_below_one(capsys, threads):
     assert code == 2
     assert out == ""
     assert "--threads" in err
+
+
+def test_validate_manifest_records_the_resolved_thread_count(
+        capsys, monkeypatch):
+    # 400 paths in four chunks of 100
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    args = ("validate", "--pattern", "1,2", "--p", "1", "--n-paths", "400",
+            "--n-steps", "64", "--seed", "9")
+    docs = []
+    for extra in ((), ("--threads", "3"), ("--threads", "7")):
+        code, out, _ = run(capsys, *args, *extra)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [doc["manifest"]["parameters"]["threads"] for doc in docs] \
+        == [2, 3, 4]
+    assert docs[0]["result"] == docs[1]["result"] == docs[2]["result"]
+
+
+def test_validate_refuses_threads_the_host_memory_cannot_hold(
+        capsys, monkeypatch):
+    # (1,2) at 64 steps and 400 paths: 3 buffers of 400 x 64 floats a thread
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
+    need = 3 * 100 * 64 * 8
+    args = ("validate", "--pattern", "1,2", "--p", "1", "--n-paths", "400",
+            "--n-steps", "64", "--seed", "9", "--threads", "4")
+    monkeypatch.setattr(cli, "_available_memory", lambda: 4 * need - 1)
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "--threads 4" in err
+    monkeypatch.setattr(cli, "_available_memory", lambda: 4 * need)
+    code, _, _ = run(capsys, *args)
+    assert code == 0
+    monkeypatch.setattr(cli, "_available_memory", lambda: None)
+    code, _, _ = run(capsys, *args)
+    assert code == 0
 
 
 def test_validate_tiny_sample_warns(capsys):

@@ -1,20 +1,29 @@
 """Coupled simulation oracle: coupling, moments, determinism."""
 
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import itolegendre.montecarlo as montecarlo
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
 from itolegendre.expansion import IndexPattern, expansion_plan
 from itolegendre.montecarlo import (
     McConfig,
     empirical_mse,
+    peak_bytes_per_thread,
     run_report,
     simulate_true_integral,
+    thread_count,
     zetas_from_path,
 )
 from itolegendre.msekit import exact_mse
+from oracles import _iterated_sums
 
 UNIT = Interval.from_length(1)
 
@@ -297,3 +306,131 @@ def test_empirical_mse_rejects_a_plain_dict_table():
                    interval=UNIT, n_paths=200, n_steps=64, seed=3)
     with pytest.raises(TypeError, match="coefficient_table"):
         empirical_mse(cfg, dict(coefficient_table(w, 1)))
+
+
+@st.composite
+def weighted_patterns(draw, max_k=4):
+    labels = draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_k))
+    exponents = draw(st.lists(st.integers(0, 2), min_size=len(labels),
+                              max_size=len(labels)))
+    return IndexPattern(labels), WeightSpec(tuple(exponents))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_patterns(), st.integers(2, 40), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+@example((IndexPattern((2, 1)), WeightSpec((0, 2))), 17, 3, 1)
+@example((IndexPattern((1, 2, 1)), WeightSpec((1, 0, 2))), 9, 2, 2)
+@example((IndexPattern((0, 1, 0, 2)), WeightSpec((2, 1, 0, 1))), 12, 3, 3)
+def test_in_place_sums_match_fresh_array_oracle(case, n_steps, n_rows, seed):
+    # each row's error is measured against the sums of absolute values
+    pattern, w = case
+    interval = Interval.from_length(0.75)
+    rng = np.random.default_rng(seed)
+    path = {label: rng.standard_normal((n_rows, n_steps)) if label
+            else np.full((n_rows, n_steps), 0.75 / n_steps)
+            for label in set(pattern.labels)}
+    got = simulate_true_integral(path, w, pattern, interval)
+    want = _iterated_sums(path, w, pattern, interval)
+    scale = _iterated_sums({label: np.abs(row) for label, row in path.items()},
+                           w, pattern, interval)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale + 1e-300)
+
+
+def fresh_array_empirical_mse(cfg, table):
+    """empirical_mse chunk by chunk on scaled increments and the oracle."""
+    chunk = max(1, montecarlo.CHUNK_FLOATS // cfg.n_steps)
+    starts = range(0, cfg.n_paths, chunk)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(starts))
+    dt = float(cfg.interval.length) / cfg.n_steps
+    phi = montecarlo._phi_matrix(cfg.p, cfg.n_steps, cfg.interval)
+    plan = expansion_plan(cfg.pattern, cfg.p, table)
+    length = float(cfg.interval.length)
+    sq = []
+    for seed, start in zip(seeds, starts):
+        shape = (min(chunk, cfg.n_paths - start), cfg.n_steps)
+        rng = np.random.default_rng(seed)
+        incr = {label: rng.standard_normal(shape) * math.sqrt(dt)
+                for label in sorted(set(cfg.pattern.labels) - {0})}
+        if 0 in cfg.pattern.labels:
+            incr[0] = np.full(shape, dt)
+        j_true = _iterated_sums(incr, cfg.weights, cfg.pattern, cfg.interval)
+        zeta = {label: row @ phi for label, row in incr.items()}
+        sq.append((j_true - plan.values(zeta, length)) ** 2)
+    sq = np.concatenate(sq)
+    means = [b.mean() for b in np.array_split(sq, 100)]
+    return math.fsum(sq) / cfg.n_paths, np.std(means, ddof=1) / 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(weighted_patterns(), st.integers(0, 2), st.integers(0, 1000))
+@example((IndexPattern((0, 1, 0, 2)), WeightSpec((0, 1, 2, 0))), 1, 5)
+def test_chunked_estimate_matches_fresh_array_oracle(case, p, seed):
+    # 64 steps, 37 paths per chunk: chunks of 37, 37 and a short 26
+    pattern, w = case
+    table = coefficient_table(w, p)
+    cfg = McConfig(pattern=pattern, p=p, weights=w,
+                   interval=Interval.from_length(0.5), n_paths=100,
+                   n_steps=64, seed=seed)
+    with mock.patch.object(montecarlo, "CHUNK_FLOATS", 64 * 37):
+        est = empirical_mse(cfg, table, threads=2)
+        want, want_se = fresh_array_empirical_mse(cfg, table)
+    assert est.estimate == pytest.approx(want, rel=1e-12, abs=1e-24)
+    assert est.standard_error == pytest.approx(want_se, rel=1e-12, abs=1e-24)
+
+
+@pytest.mark.parametrize("labels, q", [((1, 2, 1), (1, 0, 2)),
+                                       ((0, 1), (0, 0)), ((2, 1), (1, 1))])
+@pytest.mark.parametrize("n_rows", [None, 3])
+def test_simulate_true_integral_leaves_its_input_unchanged(labels, q, n_rows):
+    rng = np.random.default_rng(8)
+    shape = (32,) if n_rows is None else (n_rows, 32)
+    path = {label: rng.standard_normal(shape) for label in set(labels)}
+    before = {label: row.copy() for label, row in path.items()}
+    simulate_true_integral(path, WeightSpec(q), IndexPattern(labels), UNIT)
+    for label, row in path.items():
+        np.testing.assert_array_equal(row, before[label])
+
+
+def test_one_thread_holds_at_most_labels_plus_one_chunk_buffers(monkeypatch):
+    # (1, 2, 3) at 256 steps in four chunks of 512 paths
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 256 * 512)
+    w = WeightSpec.unit(3)
+    cfg = McConfig(pattern=IndexPattern((1, 2, 3)), p=1, weights=w,
+                   interval=UNIT, n_paths=2048, n_steps=256, seed=4)
+    table = coefficient_table(w, 1)
+    assert peak_bytes_per_thread(cfg) == 4 * 512 * 256 * 8
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        empirical_mse(cfg, table, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * peak_bytes_per_thread(cfg)
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                        raising=False)
+    assert montecarlo._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert montecarlo._usable_cpus() == 6
+
+
+def test_thread_count_defaults_to_usable_cpus_capped_at_chunks(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
+    w = WeightSpec.unit(2)
+
+    def cfg(n_paths):
+        return McConfig(pattern=IndexPattern((1, 2)), p=1, weights=w,
+                        interval=UNIT, n_paths=n_paths, n_steps=64, seed=1)
+
+    assert thread_count(cfg(150)) == 2
+    assert thread_count(cfg(1000)) == 3
+    assert thread_count(cfg(1000), 5) == 5
+    assert thread_count(cfg(150), 5) == 2
+    with pytest.raises(ValueError, match="at least 1"):
+        thread_count(cfg(150), 0)
