@@ -200,8 +200,8 @@ def cmd_validate(args) -> int:
     need, available = threads * peak_bytes_per_thread(cfg), _available_memory()
     if available is not None and need > available:
         raise ValueError(
-            f"--threads {threads} needs about {need / 2 ** 20:.0f} MB of path "
-            f"buffers, more than the {available / 2 ** 20:.0f} MB available; "
+            f"--threads {threads} needs about {need / 2 ** 20:.0f} MB of "
+            f"arrays, more than the {available / 2 ** 20:.0f} MB available; "
             "lower --threads")
     report = run_report(cfg, threads=threads)
     for line in report["warnings"]:

@@ -10,15 +10,18 @@ of a table, a single coefficient and the kernel norm.
 
 A table is an immutable ``CoeffTable``: a read-only mapping from
 multi-index to ``CoeffValue`` that knows its weights and truncation order.
-On first use it derives, once, every core as an integer over one
-table-wide lcm D, and the prefix sums of w(j) * n_j^2 with w(j) =
+It stores only the flat lexicographic list of integer numerators n_j over
+one table-wide lcm D, with the half and dyadic powers every entry shares,
+and builds a ``CoeffValue`` when an entry is read. On first use by the
+exact error it derives, once, the prefix sums of w(j) * n_j^2 with w(j) =
 prod(2 j_l + 1), so that the squared sum over any box {0..p_1} x ... x
-{0..p_k} is one lookup. ``orbit_sums`` adds those integers over the orbits
+{0..p_k} is one lookup. ``orbit_sums`` adds the numerators over the orbits
 of a pattern's block permutations; the exact error and the expansion both
 read them.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
-``save_table`` / ``load_table``. The cache directory defaults to the
+``save_table`` / ``load_table``; a load parses each stored core "n/d" as
+two integers straight into that form. The cache directory defaults to the
 ``COEFF_CACHE_DIR`` environment variable.
 """
 
@@ -30,8 +33,9 @@ import json
 import math
 import operator
 import os
+import re
 import tempfile
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -48,6 +52,8 @@ DEFAULT_EXPONENT_CAP = 5
 MAX_TABLE_ENTRIES = 10 ** 6
 CACHE_ENV_VAR = "COEFF_CACHE_DIR"
 CACHE_SCHEMA_VERSION = 1
+# a stored core: an integer over a positive integer
+_CORE = re.compile(r"(-?[0-9]+)/(0*[1-9][0-9]*)")
 
 
 class DegreeCapError(ValueError):
@@ -147,29 +153,76 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
     """Immutable table of the (p + 1)^k coefficients of one weight spec.
 
     A read-only mapping from multi-index to ``CoeffValue`` that iterates in
-    lexicographic order. It takes ownership of ``entries``, which must hold
-    exactly the multi-indices {0..p}^k in lexicographic order, without
-    copying it. The integer cores and the prefix sums of w(j) * n_j^2 are
-    derived once, on first use by the exact error or the expansion.
+    lexicographic order. It stores the cores only as integer numerators
+    over one table-wide lcm D, in flat lexicographic order, together with
+    the ``half_power`` and ``two_power`` every entry shares; a
+    ``CoeffValue`` is built when an entry is read. ``numerators`` must
+    hold the (p + 1)^k entries {0..p}^k in lexicographic order; the
+    constructor reduces them and D by their common divisor, so equal cores
+    give equal tables. The prefix sums of w(j) * n_j^2 are derived once, on
+    first use by the exact error.
     """
 
     def __init__(self, weights: WeightSpec, p: int,
-                 entries: dict[MultiIndex, CoeffValue]):
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_entries", entries)
+                 numerators: Iterable[int], denominator: int):
+        nums = list(numerators)
+        if len(nums) != (p + 1) ** weights.k:
+            raise ValueError(f"{len(nums)} numerators for a table of "
+                             f"{(p + 1) ** weights.k} entries")
+        if denominator < 1:
+            raise ValueError(f"denominator must be positive, got {denominator}")
+        g = math.gcd(denominator, *nums)
+        if g > 1:
+            nums, denominator = [n // g for n in nums], denominator // g
+        half_power, two_power = _scale_powers(weights)
+        for name, value in (("weights", weights), ("p", p),
+                            ("half_power", half_power), ("two_power", two_power),
+                            ("_nums", nums), ("_lcm", denominator)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __getitem__(self, j: MultiIndex) -> CoeffValue:
-        return self._entries[j]
+        try:
+            modes = [operator.index(m) for m in j]
+        except TypeError:
+            raise KeyError(j) from None
+        if not isinstance(j, tuple) or len(modes) != self.weights.k \
+                or not all(0 <= m <= self.p for m in modes):
+            raise KeyError(j)
+        flat = 0
+        for m in modes:
+            flat = flat * (self.p + 1) + m
+        return CoeffValue(Fraction(self._nums[flat], self._lcm),
+                          tuple(2 * m + 1 for m in modes),
+                          self.half_power, self.two_power)
 
     def __iter__(self):
-        return iter(self._entries)
+        return itertools.product(range(self.p + 1), repeat=self.weights.k)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nums)
+
+    def _values(self):
+        # every entry in flat order: one gcd per entry, no index arithmetic
+        odd = [2 * m + 1 for m in range(self.p + 1)]
+        lcm, half_power, two_power = self._lcm, self.half_power, self.two_power
+        for n, factors in zip(self._nums,
+                              itertools.product(odd, repeat=self.weights.k)):
+            yield CoeffValue(Fraction(n, lcm), factors, half_power, two_power)
+
+    def items(self) -> ItemsView:
+        return _TableItems(self)
+
+    def values(self) -> ValuesView:
+        return _TableValues(self)
+
+    def __eq__(self, other):
+        if isinstance(other, CoeffTable):
+            return (self.weights, self.p, self._lcm, self._nums) \
+                == (other.weights, other.p, other._lcm, other._nums)
+        return super().__eq__(other)
 
     def _check_covers(self, p_levels: Sequence[int]) -> None:
         # name the lexicographically first multi-index of the box that the
@@ -187,25 +240,13 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
             "recompute it with a large enough truncation order")
 
     @cached_property
-    def _numerators(self) -> tuple[list[int], int]:
-        # every core as an integer over the lcm D of all denominators, in
-        # flat lexicographic order
-        grid = itertools.product(range(self.p + 1), repeat=self.weights.k)
-        cores = [self._entries[j].core for j in grid]
-        dens = {c.denominator for c in cores}
-        lcm = math.lcm(*dens)
-        scale = {d: lcm // d for d in dens}
-        return [c.numerator * scale[c.denominator] for c in cores], lcm
-
-    @cached_property
     def _square_prefix(self) -> list[int]:
         # inclusive k-dimensional prefix sums of w(j) * n_j^2, flat
-        nums, _ = self._numerators
         side = self.p + 1
         w_of = [1]
         for _ in range(self.weights.k):
             w_of = [a * (2 * m + 1) for a in w_of for m in range(side)]
-        acc = [wt * n * n for wt, n in zip(w_of, nums)]
+        acc = [wt * n * n for wt, n in zip(w_of, self._nums)]
         stride = 1
         for _ in range(self.weights.k):
             for lo in range(0, len(acc), stride * side):
@@ -223,14 +264,14 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         first multi-index that the table lacks.
         """
         self._check_covers(p_levels)
-        nums, lcm = self._numerators
+        nums = self._nums
         index = list(itertools.product(*(range(top + 1) for top in p_levels)))
         if any(top != self.p for top in p_levels):
             flat = [0]
             for top in p_levels:
                 flat = [f * (self.p + 1) + m for f in flat for m in range(top + 1)]
             nums = [nums[f] for f in flat]
-        return index, nums, lcm
+        return index, nums, self._lcm
 
     def square_sum(self, p_levels: Sequence[int]) -> tuple[int, int]:
         """Sum of w(j) * n_j^2 over the box {0..p_1} x ... x {0..p_k}, with
@@ -239,7 +280,31 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         flat = 0
         for top in p_levels:
             flat = flat * (self.p + 1) + top
-        return self._square_prefix[flat], self._numerators[1]
+        return self._square_prefix[flat], self._lcm
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values())
+
+
+class _TableValues(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
+
+
+def _scale_powers(w: WeightSpec) -> tuple[int, int]:
+    # half_power and two_power of every coefficient under w
+    return w.k + 2 * sum(w.exponents), w.k + sum(w.exponents)
+
+
+def _over_lcm(w: WeightSpec, p: int, nums: Sequence[int],
+              dens: Sequence[int]) -> CoeffTable:
+    # the table of cores nums[i] / dens[i], as integers over their lcm
+    distinct = set(dens)
+    lcm = math.lcm(*distinct)
+    scale = {d: lcm // d for d in distinct}
+    return CoeffTable(w, p, [n * scale[d] for n, d in zip(nums, dens)], lcm)
 
 
 def require_table(table) -> None:
@@ -286,15 +351,6 @@ def _simplex_cores(exponents: Sequence[int],
     return out
 
 
-def _coeff_values(w: WeightSpec, index: Iterable[MultiIndex],
-                  cores: Iterable[Fraction]) -> dict[MultiIndex, CoeffValue]:
-    # each core with the scale factors of its multi-index under w
-    sum_q = sum(w.exponents)
-    return {j: CoeffValue(core, tuple(2 * m + 1 for m in j),
-                          w.k + 2 * sum_q, w.k + sum_q)
-            for j, core in zip(index, cores)}
-
-
 def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
                         degree_cap: int = DEFAULT_DEGREE_CAP,
                         exponent_cap: int = DEFAULT_EXPONENT_CAP) -> CoeffValue:
@@ -310,8 +366,8 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
     if any(m < 0 for m in j):
         raise ValueError(f"modes must be nonnegative, got {j}")
     _check_caps(w, max(j), 1, degree_cap, exponent_cap)
-    cores = _simplex_cores(w.exponents, [(m,) for m in j])
-    return _coeff_values(w, [j], cores)[j]
+    core, = _simplex_cores(w.exponents, [(m,) for m in j])
+    return CoeffValue(core, tuple(2 * m + 1 for m in j), *_scale_powers(w))
 
 
 @lru_cache(maxsize=256)
@@ -357,9 +413,9 @@ def coefficient_table(w: WeightSpec, p: int, *,
                     f"p={stored_p}; expected {w}, p={p}")
             return table
 
-    table = CoeffTable(w, p, _coeff_values(
-        w, itertools.product(range(p + 1), repeat=w.k),
-        _simplex_cores(w.exponents, [range(p + 1)] * w.k)))
+    cores = _simplex_cores(w.exponents, [range(p + 1)] * w.k)
+    table = _over_lcm(w, p, [c.numerator for c in cores],
+                      [c.denominator for c in cores])
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(path, w, p, table, degree_cap=degree_cap)
@@ -405,16 +461,22 @@ def table_key(w: WeightSpec, p: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> st
     return f"coeffs_k{w.k}_q{q}_p{p}_cap{degree_cap}"
 
 
-def _payload(w: WeightSpec, p: int, table: Mapping[MultiIndex, CoeffValue],
+def _payload(w: WeightSpec, p: int, table: CoeffTable,
              degree_cap: int) -> dict:
+    lcm = table._lcm
+
+    def core(n: int) -> str:
+        g = math.gcd(n, lcm)
+        return f"{n // g}/{lcm // g}"
+
     entries = [
         {
             "j": list(j),
-            "core": f"{cv.core.numerator}/{cv.core.denominator}",
-            "half_power": cv.half_power,
-            "two_power": cv.two_power,
+            "core": core(n),
+            "half_power": table.half_power,
+            "two_power": table.two_power,
         }
-        for j, cv in sorted(table.items())
+        for j, n in zip(table, table._nums)
     ]
     return {
         "schema_version": CACHE_SCHEMA_VERSION,
@@ -432,9 +494,17 @@ def _checksum(payload: dict) -> str:
 
 
 def save_table(path: Union[str, Path], w: WeightSpec, p: int,
-               table: Mapping[MultiIndex, CoeffValue], *,
+               table: CoeffTable, *,
                degree_cap: int = DEFAULT_DEGREE_CAP) -> None:
-    """Write a table as deterministic, checksummed JSON (atomic replace)."""
+    """Write a table as deterministic, checksummed JSON (atomic replace).
+
+    ``table`` must be a ``CoeffTable`` (TypeError otherwise) built for
+    ``w`` and ``p`` (ValueError otherwise).
+    """
+    require_table(table)
+    if (table.weights, table.p) != (w, p):
+        raise ValueError(f"table was built for {table.weights}, p={table.p}; "
+                         f"cannot save it as {w}, p={p}")
     payload = _payload(w, p, table, degree_cap)
     doc = dict(payload)
     doc["checksum"] = _checksum(payload)
@@ -457,8 +527,9 @@ def load_table(path: Union[str, Path],
     """Read a table back, verifying its checksum and its entries.
 
     Raises CacheIntegrityError on malformed JSON, missing fields, a checksum
-    mismatch, or entries other than {0..p}^k in lexicographic order with the
-    powers of the stored weights.
+    mismatch, entries other than {0..p}^k in lexicographic order with the
+    powers of the stored weights, or a core other than an integer over a
+    positive integer ("n/d").
     """
     path = Path(path)
     try:
@@ -475,16 +546,24 @@ def load_table(path: Union[str, Path],
             raise CacheIntegrityError(f"checksum mismatch in cache file {path}")
         w = WeightSpec(tuple(doc["exponents"]))
         p = int(doc["p"])
-        listed = [(tuple(e["j"]), e["half_power"], e["two_power"])
-                  for e in doc["entries"]]
-        table = _coeff_values(w, itertools.product(range(p + 1), repeat=w.k),
-                              [Fraction(e["core"]) for e in doc["entries"]])
+        entries = doc["entries"]
+        powers = _scale_powers(w)
+        if p < 0 or len(entries) != (p + 1) ** w.k or not all(
+                tuple(e["j"]) == j and (e["half_power"], e["two_power"]) == powers
+                for e, j in zip(entries, itertools.product(range(p + 1),
+                                                           repeat=w.k))):
+            raise CacheIntegrityError(
+                f"cache file {path} does not hold {{0..{p}}}^{w.k} in "
+                "lexicographic order with the powers of its weights")
+        cores = [_CORE.fullmatch(e["core"]) for e in entries]
+        if not all(cores):
+            raise CacheIntegrityError(
+                f"cache file {path} holds a core that is not an integer over "
+                "a positive integer")
+        nums = [int(c[1]) for c in cores]
+        dens = [int(c[2]) for c in cores]
     except CacheIntegrityError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CacheIntegrityError(f"malformed cache file {path}: {exc}") from exc
-    if listed != [(j, v.half_power, v.two_power) for j, v in table.items()]:
-        raise CacheIntegrityError(
-            f"cache file {path} does not hold {{0..{p}}}^{w.k} in lexicographic "
-            "order with the powers of its weights")
-    return w, p, CoeffTable(w, p, table)
+    return w, p, _over_lcm(w, p, nums, dens)

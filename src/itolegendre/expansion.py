@@ -242,9 +242,8 @@ def expansion_plan(pattern: IndexPattern, p: int,
     sums = [(s, j) for s, j in orbit_sums(index, nums, pattern.blocks).values()
             if s]
     reps = np.array([j for _, j in sums], dtype=np.intp).reshape(-1, k)
-    origin = table[(0,) * k]
     coefficients = np.array([s / lcm for s, _ in sums]) \
-        * 2.0 ** -origin.two_power * np.sqrt(np.prod(2 * reps + 1, axis=1))
+        * 2.0 ** -table.two_power * np.sqrt(np.prod(2 * reps + 1, axis=1))
     # the matching terms active at each orbit's member, orbit by orbit
     active = np.ones((len(reps), len(terms)), dtype=bool)
     columns = np.full((len(reps), len(terms), k), len(labels) * (p + 1),
@@ -256,7 +255,7 @@ def expansion_plan(pattern: IndexPattern, p: int,
             columns[:, t, slot] = offset[pos] + reps[:, pos]
     signs = np.array([float(term.sign) for term in terms])
     return ExpansionPlan(
-        labels=labels, p=p, half_power=origin.half_power,
+        labels=labels, p=p, half_power=table.half_power,
         coefficients=coefficients,
         bounds=np.concatenate(([0], np.cumsum(active.sum(axis=1)))),
         columns=columns[active],

@@ -27,7 +27,8 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .coeffs import CoeffTable, Interval, WeightSpec, coefficient_table
-from .expansion import CHUNK_FLOATS, GaussianDraw, IndexPattern, expansion_plan
+from .expansion import (CHUNK_FLOATS, GaussianDraw, IndexPattern,
+                        enumerate_matchings, expansion_plan)
 from .msekit import exact_mse
 
 MIN_PATHS = 100
@@ -197,9 +198,20 @@ def thread_count(cfg: McConfig, threads: Optional[int] = None) -> int:
 
 
 def peak_bytes_per_thread(cfg: McConfig) -> int:
-    """Bound on one thread's buffers: (distinct labels + 1) chunk arrays."""
+    """Bound on one thread's arrays: (distinct labels + 1) chunk buffers,
+    which the pool still holds while ``ExpansionPlan.values`` runs, plus
+    that call's arrays per path. These are the draws, their concatenation,
+    the two sums, and a block of gathered matching-term factors (k per term,
+    CHUNK_FLOATS per chunk unless one orbit has more terms) with its
+    products, beside the previous block's products and orbit brackets."""
     rows = min(_chunking(cfg)[0], cfg.n_paths)
-    return (len(set(cfg.pattern.labels)) + 1) * rows * cfg.n_steps * 8
+    k, distinct = cfg.pattern.k, len(set(cfg.pattern.labels))
+    terms = len(enumerate_matchings(cfg.pattern))
+    block = min(max(CHUNK_FLOATS // (rows * k), terms),
+                (cfg.p + 1) ** k * terms)
+    per_path = (distinct + 1) * cfg.n_steps + (k + 3) * block \
+        + 2 * (distinct * (cfg.p + 1) + 2)
+    return per_path * rows * 8
 
 
 def empirical_mse(cfg: McConfig, table: CoeffTable, *,

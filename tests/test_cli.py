@@ -199,9 +199,12 @@ def test_validate_manifest_records_the_resolved_thread_count(
 
 def test_validate_refuses_threads_the_host_memory_cannot_hold(
         capsys, monkeypatch):
-    # (1,2) at 64 steps and 400 paths: 3 buffers of 400 x 64 floats a thread
+    # (1,2) p=1 at 64 steps and 400 paths in chunks of 100, a thread's
+    # floats per path: 3 buffers of 64; a block of the plan's 4 terms,
+    # gathered 2 floats each, with three arrays of products and brackets
+    # (5 x 4); the draws, their concatenation and the two sums (2 x 6)
     monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
-    need = 3 * 100 * 64 * 8
+    need = (3 * 64 + 5 * 4 + 2 * 6) * 100 * 8
     args = ("validate", "--pattern", "1,2", "--p", "1", "--n-paths", "400",
             "--n-steps", "64", "--seed", "9", "--threads", "4")
     monkeypatch.setattr(cli, "_available_memory", lambda: 4 * need - 1)
@@ -260,6 +263,24 @@ def test_cache_corruption_exits_three(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "coeffs", "--k", "2", "--p", "1")
     assert code == 3
     assert "checksum" in err
+
+
+@pytest.mark.parametrize("core", ["1/0", "1.5"])
+def test_coeffs_exits_three_on_a_core_that_is_no_integer_ratio(
+        tmp_path, capsys, monkeypatch, core):
+    # a tampered core with a fresh checksum
+    monkeypatch.setenv("COEFF_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "coeffs", "--k", "2", "--p", "2")
+    assert code == 0
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc["entries"][1]["core"] = core
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "coeffs", "--k", "2", "--p", "2")
+    assert (code, out) == (3, "")
+    assert "positive integer" in err
 
 
 @pytest.mark.parametrize("field,value", [("j", [0, 5]), ("half_power", 4)])

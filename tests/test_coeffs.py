@@ -25,6 +25,7 @@ import itolegendre.coeffs as coeffs
 from itolegendre.coeffs import (
     CacheIntegrityError,
     CoeffTable,
+    CoeffValue,
     DegreeCapError,
     Interval,
     WeightSpec,
@@ -370,6 +371,18 @@ def test_save_table_removes_its_temp_file_on_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_table_takes_only_a_table_of_its_weights_and_order(tmp_path):
+    w = WeightSpec.unit(2)
+    table = coefficient_table(w, 1)
+    path = tmp_path / "table.json"
+    with pytest.raises(TypeError, match="CoeffTable"):
+        save_table(path, w, 1, dict(table))
+    for other_w, other_p in [(WeightSpec((1, 0)), 1), (w, 2)]:
+        with pytest.raises(ValueError, match="cannot save"):
+            save_table(path, other_w, other_p, table)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_coefficient_table_uses_cache_dir(tmp_path, monkeypatch):
     w = WeightSpec.unit(2)
     first = coefficient_table(w, 2, cache_dir=tmp_path)
@@ -399,6 +412,28 @@ def test_cache_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(CacheIntegrityError):
+        load_table(path)
+
+
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "null"])
+def test_cache_rejects_json_that_is_no_object(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(CacheIntegrityError, match="malformed"):
+        load_table(path)
+
+
+def test_cache_rejects_a_negative_order(tmp_path):
+    # one entry, as many as (p + 1)^k gives for p = -2, k = 2
+    w = WeightSpec.unit(2)
+    coefficient_table(w, 0, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc["p"] = -2
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheIntegrityError, match="lexicographic"):
         load_table(path)
 
 
@@ -441,6 +476,81 @@ def test_cache_rejects_entries_the_weights_do_not_give(tmp_path, edit):
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheIntegrityError, match="lexicographic"):
         load_table(path)
+
+
+@pytest.mark.parametrize("core", ["1/0", "-3/00", "1.5", " 3/4", "3/-4",
+                                  "3", "1/", "x/2", 7])
+def test_cache_rejects_cores_other_than_an_integer_over_a_positive_one(
+        tmp_path, core):
+    # a tampered core with a fresh checksum
+    w = WeightSpec.unit(2)
+    coefficient_table(w, 2, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc["entries"][4]["core"] = core
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheIntegrityError):
+        load_table(path)
+
+
+GOLDEN = Path(__file__).parent / "data" / "coeffs_k3_q1-0-2_p2_cap30.json"
+
+
+def test_golden_cache_file_is_reproduced_byte_for_byte(tmp_path):
+    w, p = WeightSpec((1, 0, 2)), 2
+    built = coefficient_table(w, p, cache_dir=tmp_path)
+    assert (tmp_path / GOLDEN.name).read_bytes() == GOLDEN.read_bytes()
+    assert load_table(GOLDEN) == (w, p, built)
+    assert dict(load_table(GOLDEN)[2]) == dict(built)
+
+
+def test_table_stores_reduced_numerators_over_one_lcm():
+    w = WeightSpec((1, 0))
+    table = coefficient_table(w, 2)
+    index, nums, lcm = table.integer_cores((2, 2))
+    assert [Fraction(n, lcm) for n in nums] == [table[j].core for j in index]
+    assert lcm == math.lcm(*(table[j].core.denominator for j in index))
+    assert CoeffTable(w, 2, [6 * n for n in nums], 6 * lcm) == table
+    with pytest.raises(ValueError, match="9 entries"):
+        CoeffTable(w, 2, nums[:-1], lcm)
+    with pytest.raises(ValueError, match="positive"):
+        CoeffTable(w, 2, nums, 0)
+    assert (table.half_power, table.two_power) == (4, 3)
+    for absent in [(0, 3), (0,), (0, 0, 0), [0, 0], (0, 1.0), "ab"]:
+        assert absent not in table
+        with pytest.raises(KeyError):
+            table[absent]
+
+
+@st.composite
+def small_specs(draw):
+    """Weights of multiplicity 1..3 with exponents 0..2 and an order 0..3."""
+    k = draw(st.integers(1, 3))
+    exponents = tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                    max_size=k)))
+    return WeightSpec(exponents), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs(), small_specs(), st.data())
+def test_lookup_walk_and_equality_agree_with_the_entries(spec, other, data):
+    (w, p), (w2, p2) = spec, other
+    table = coefficient_table(w, p)
+    j = data.draw(st.tuples(*[st.integers(0, p)] * w.k))
+    assert table[j] == fourier_coefficient(j, w)
+    assert type(table[j].core) is Fraction
+    assert list(table.items()) == [(i, table[i]) for i in table]
+    assert list(table.values()) == [table[i] for i in table]
+    second = coefficient_table(w2, p2)
+    plain = dict(table)
+    assert (table == second) == (plain == dict(second)) == (spec == other)
+    assert table == plain and plain == table
+    cv = plain[j]
+    plain[j] = CoeffValue(cv.core + 1, cv.sqrt_factors, cv.half_power,
+                          cv.two_power)
+    assert table != plain and plain != table
 
 
 @st.composite

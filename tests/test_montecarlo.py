@@ -399,7 +399,10 @@ def test_one_thread_holds_at_most_labels_plus_one_chunk_buffers(monkeypatch):
     cfg = McConfig(pattern=IndexPattern((1, 2, 3)), p=1, weights=w,
                    interval=UNIT, n_paths=2048, n_steps=256, seed=4)
     table = coefficient_table(w, 1)
-    assert peak_bytes_per_thread(cfg) == 4 * 512 * 256 * 8
+    # 4 buffers of 256 floats a path; a block of the plan's 8 terms, gathered
+    # 3 floats each, with three arrays of products and brackets (6 x 8); the
+    # draws, their concatenation and the two sums (2 x 8)
+    assert peak_bytes_per_thread(cfg) == (4 * 256 + 6 * 8 + 2 * 8) * 512 * 8
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -407,7 +410,24 @@ def test_one_thread_holds_at_most_labels_plus_one_chunk_buffers(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * peak_bytes_per_thread(cfg)
+    assert peak <= 1.1 * 4 * 512 * 256 * 8
+
+
+@pytest.mark.parametrize("labels, p", [((1, 2, 1, 2, 1), 2), ((1, 2), 1)])
+def test_traced_peak_stays_within_the_memory_estimate(labels, p):
+    # one full chunk of 2048 paths x 2048 steps: (1,2,1,2,1) gathers blocks
+    # of matching-term factors near CHUNK_FLOATS beside the kernel buffers
+    w = WeightSpec.unit(len(labels))
+    cfg = McConfig(pattern=IndexPattern(labels), p=p, weights=w,
+                   interval=UNIT, n_paths=2048, n_steps=2048, seed=6)
+    table = coefficient_table(w, p)
+    tracemalloc.start()
+    try:
+        empirical_mse(cfg, table, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_bytes_per_thread(cfg)
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
