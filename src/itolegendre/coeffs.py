@@ -15,9 +15,12 @@ one table-wide lcm D, with the half and dyadic powers every entry shares,
 and builds a ``CoeffValue`` when an entry is read. On first use by the
 exact error it derives, once, the prefix sums of w(j) * n_j^2 with w(j) =
 prod(2 j_l + 1), so that the squared sum over any box {0..p_1} x ... x
-{0..p_k} is one lookup. ``orbit_sums`` adds the numerators over the orbits
-of a pattern's block permutations; the exact error and the expansion both
-read them.
+{0..p_k} is one lookup, and the grid of modes of its nonzero entries.
+``CoeffTable.orbit_square_sum`` reads that grid in one array pass: it
+groups the entries by orbit of a pattern's block permutations and returns
+the exact error's double sum as a Python integer over D^2. ``orbit_sums``,
+a dict walk that also keeps each orbit's first member, serves the
+expansion plan; the two share no code.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
 ``save_table`` / ``load_table``; a load parses each stored core "n/d" as
@@ -41,6 +44,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .polycore import ONE, Poly, RationalLike, legendre
 
@@ -159,8 +164,9 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
     ``CoeffValue`` is built when an entry is read. ``numerators`` must
     hold the (p + 1)^k entries {0..p}^k in lexicographic order; the
     constructor reduces them and D by their common divisor, so equal cores
-    give equal tables. The prefix sums of w(j) * n_j^2 are derived once, on
-    first use by the exact error.
+    give equal tables. The prefix sums of w(j) * n_j^2 and the mode grid
+    of the nonzero entries are each derived once, on first use by the exact
+    error.
     """
 
     def __init__(self, weights: WeightSpec, p: int,
@@ -281,6 +287,58 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         for top in p_levels:
             flat = flat * (self.p + 1) + top
         return self._square_prefix[flat], self._lcm
+
+    @cached_property
+    def _mode_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # the entries with a nonzero core, ordered by their largest mode so
+        # that those of each box {0..p}^k come first: their modes, w(j), the
+        # numerators as Python ints (object dtype), and per p how many
+        k = self.weights.k
+        modes = np.indices((self.p + 1,) * k).reshape(k, -1).T
+        nums = np.array(self._nums, dtype=object)
+        keep = np.flatnonzero(nums)
+        top = modes[keep].max(axis=1)
+        keep = keep[np.argsort(top, kind="stable")]
+        modes = modes[keep]
+        return (modes, np.prod(2 * modes + 1, axis=1), nums[keep],
+                np.searchsorted(np.sort(top), np.arange(self.p + 1), side="right"))
+
+    def orbit_square_sum(self, p: int, blocks: Sequence[Sequence[int]]) -> int:
+        """Sum over the orbits O of {0..p}^k under the permutations within
+        each block of |Stab(O)| * w(O) * S_O^2, where S_O sums the numerators
+        n_j over O: the double sum of the exact error, as an integer over D^2.
+
+        A trivial group is one ``square_sum`` lookup. Otherwise one array
+        pass over the table's nonzero entries: each block's modes sorted
+        give the orbit key, the entries are grouped by key, and the
+        stabilizer is the product of the factorials of the run lengths of
+        the sorted block modes. Numerators and sums stay Python integers.
+        """
+        groups = [list(b) for b in blocks if len(b) > 1]
+        if not groups:
+            return self.square_sum((p,) * self.weights.k)[0]
+        self._check_covers((p,) * self.weights.k)
+        modes, weights, nums, ends = self._mode_grid
+        n = ends[p]
+        if not n:
+            return 0
+        canon = modes[:n].copy()
+        for b in groups:
+            canon[:, b] = np.sort(canon[:, b], axis=1)
+        key = canon @ (p + 1) ** np.arange(self.weights.k)
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        sums = np.add.reduceat(nums[order], starts)
+        first = order[starts]
+        reps = canon[first]
+        stab = weights[first]
+        for b in groups:
+            run = 1
+            for prev, pos in zip(b, b[1:]):
+                run = np.where(reps[:, pos] == reps[:, prev], run + 1, 1)
+                stab = stab * run
+        return int(np.dot(stab.astype(object), sums * sums))
 
 
 class _TableItems(ItemsView):
@@ -527,9 +585,10 @@ def load_table(path: Union[str, Path],
     """Read a table back, verifying its checksum and its entries.
 
     Raises CacheIntegrityError on malformed JSON, missing fields, a checksum
-    mismatch, entries other than {0..p}^k in lexicographic order with the
-    powers of the stored weights, or a core other than an integer over a
-    positive integer ("n/d").
+    mismatch, a stored k, p or exponent that is not an integer (a bool is
+    not), k other than the number of exponents, entries other than {0..p}^k
+    in lexicographic order with the powers of the stored weights, or a core
+    other than an integer over a positive integer ("n/d").
     """
     path = Path(path)
     try:
@@ -544,8 +603,15 @@ def load_table(path: Union[str, Path],
                 f"expected {CACHE_SCHEMA_VERSION}")
         if _checksum(doc) != stored:
             raise CacheIntegrityError(f"checksum mismatch in cache file {path}")
-        w = WeightSpec(tuple(doc["exponents"]))
-        p = int(doc["p"])
+        k, p, exponents = doc["k"], doc["p"], doc["exponents"]
+        # a bool or a float is refused, not coerced
+        if not (type(k) is int and type(p) is int and type(exponents) is list
+                and all(type(q) is int for q in exponents)
+                and k == len(exponents)):
+            raise CacheIntegrityError(
+                f"cache file {path} does not store k, p and k exponents as "
+                "integers")
+        w = WeightSpec(tuple(exponents))
         entries = doc["entries"]
         powers = _scale_powers(w)
         if p < 0 or len(entries) != (p + 1) ** w.k or not all(

@@ -11,8 +11,9 @@ multiplicities are produced by the same rule but are flagged experimental.
 
 ``expansion_plan`` sums the table's integer cores (derived once per
 ``CoeffTable``) over the orbits of the pattern's block permutations
-(``coeffs.orbit_sums``, as the exact error does) and rounds once per
-orbit, so cancellations such as C(0,1) + C(1,0) = 0 hold by construction.
+(``coeffs.orbit_sums``, a dict walk of its own; the exact error groups
+orbits in an array pass instead) and rounds once per orbit, so
+cancellations such as C(0,1) + C(1,0) = 0 hold by construction.
 ``realize`` and the Monte Carlo both evaluate their draws through such a
 plan.
 """

@@ -7,13 +7,15 @@ at order p is
 
 where I_k is the squared kernel norm, j runs over {0..p}^k, and sigma runs
 over the position permutations that preserve the pattern: the direct
-product of symmetric groups on its equality blocks. The orbit-sum engine
-evaluates the double sum as one pass over the orbits of that group, in
-the exact integer cores that the ``CoeffTable`` derives once; a trivial
-group, and the bound, reduce to one lookup of the table's prefix sums of
-w(j) * C(j)^2. It is checked against the permutation and catalog oracles
-in tests/. The transcribed case catalog for multiplicities 1..5 (labels
-(I), (II), (III).1, ...) names the case of each pattern.
+product of symmetric groups on its equality blocks. The double sum is
+the table's orbit-weighted square sum (``CoeffTable.orbit_square_sum``):
+one array pass over the orbits of that group, in the exact integer cores
+over D; a trivial group, and the bound, reduce to one lookup of the
+table's prefix sums of w(j) * n_j^2. Each error and bound is then one
+Fraction built from an integer numerator and denominator. The engine is
+checked against the permutation and catalog oracles in tests/. The
+transcribed case catalog for multiplicities 1..5 (labels (I), (II),
+(III).1, ...) names the case of each pattern.
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
 truncations and, for patterns containing the time component, requires
@@ -22,12 +24,10 @@ interval length below 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .coeffs import (
@@ -37,7 +37,6 @@ from .coeffs import (
     WeightSpec,
     coefficient_table,
     kernel_norm,
-    orbit_sums,
     require_table,
 )
 from .expansion import CERTIFIED_MAX_K, ExperimentalWarning, IndexPattern
@@ -252,33 +251,20 @@ def _check_table(table: CoeffTable, w: WeightSpec):
             f"coefficient table was not built for weight exponents {w.exponents}")
 
 
-@lru_cache(maxsize=4096)
-def _stabilizer(modes: tuple[int, ...]) -> int:
-    """Permutations of one block's sorted modes that leave them unchanged."""
-    return math.prod(math.factorial(len(list(run)))
-                     for _, run in itertools.groupby(modes))
-
-
-def _orbit_sums(table: CoeffTable, w: WeightSpec, p_levels: Sequence[int],
-                blocks: Sequence[Sequence[int]]) -> tuple[Fraction, Fraction]:
-    """The orbit sum and the squared sum over the box {0..p_1} x ... x
-    {0..p_k}, accumulated in integers over D^2 (see ``coeffs.orbit_sums``)."""
-    _check_table(table, w)
-    squares, lcm = table.square_sum(p_levels)
-    orbit = squares
-    if any(len(b) > 1 for b in blocks):
-        index, nums, _ = table.integer_cores(p_levels)
-        orbit = sum(math.prod(2 * m + 1 for m in j)
-                    * math.prod(map(_stabilizer, key[1:])) * s * s
-                    for key, (s, j) in orbit_sums(index, nums, blocks).items())
-    return Fraction(orbit, lcm * lcm), Fraction(squares, lcm * lcm)
-
-
-def _error_core(kernel_core: Fraction, double_sum: Fraction,
-                k: int, sum_q: int) -> Fraction:
-    m = k + 2 * sum_q
-    return kernel_core * Fraction(1, 2 ** m) \
-        - double_sum * Fraction(1, 2 ** (2 * (k + sum_q)))
+def _scaled_error(w: WeightSpec, total: int, lcm: int, length: Fraction,
+                  times: int = 1) -> Fraction:
+    """times * (I_k - sum) * length^m as one Fraction, for a double sum
+    ``total`` over D^2. With I_k = a / (b 2^m) and the sum's scale
+    2^(-2(k + sum q)), the core is (a D^2 2^k - total b) / (b D^2 2^(2(k +
+    sum q)))."""
+    norm = kernel_norm(w).core
+    sum_q = sum(w.exponents)
+    m = w.k + 2 * sum_q
+    d2 = lcm * lcm
+    return Fraction(
+        times * ((norm.numerator * d2 << w.k) - total * norm.denominator)
+        * length.numerator ** m,
+        (norm.denominator * d2 << 2 * (w.k + sum_q)) * length.denominator ** m)
 
 
 def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
@@ -308,18 +294,19 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
             "exact mean-square error is defined for Wiener components only "
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
+    if p < 0:
+        raise ValueError(f"truncation order must be nonnegative, got {p}")
     table = _resolve_table(w, p, table, cache_dir)
-    orbit, squares = _orbit_sums(table, w, (p,) * w.k, pattern.blocks)
-    norm = kernel_norm(w)
-    sum_q = sum(w.exponents)
-    scale = interval.length ** (w.k + 2 * sum_q)
-    exact = _error_core(norm.core, orbit, w.k, sum_q) * scale
-    bound = math.factorial(w.k) * _error_core(norm.core, squares, w.k, sum_q) \
-        * scale
+    _check_table(table, w)
+    squares, lcm = table.square_sum((p,) * w.k)
+    length = interval.length
+    exact = _scaled_error(w, table.orbit_square_sum(p, pattern.blocks), lcm,
+                          length)
+    bound = _scaled_error(w, squares, lcm, length, math.factorial(w.k))
     return MseReport(
         pattern=pattern, p=p, weights=w, interval=interval,
         exact_mse=float(exact), exact_mse_rational=exact,
-        bound=float(bound), kernel_norm=norm.value(interval),
+        bound=float(bound), kernel_norm=kernel_norm(w).value(interval),
         case_id=classify_case(pattern))
 
 
@@ -352,10 +339,10 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
             "patterns with time components (label 0) are bounded only for "
             f"interval length < 1, got length {interval.length}")
     table = _resolve_table(w, max(p_levels), table, cache_dir)
-    _, squares = _orbit_sums(table, w, p_levels, ())
-    sum_q = sum(w.exponents)
-    core = _error_core(kernel_norm(w).core, squares, w.k, sum_q)
-    return math.factorial(pattern.k) * core * interval.length ** (w.k + 2 * sum_q)
+    _check_table(table, w)
+    squares, lcm = table.square_sum(p_levels)
+    return _scaled_error(w, squares, lcm, interval.length,
+                         math.factorial(pattern.k))
 
 
 def mse_bound(pattern: IndexPattern, p_levels: Iterable[int], w: WeightSpec,

@@ -35,7 +35,6 @@ from itolegendre.msekit import (
     MseReport,
     PatternScopeError,
     _check_exact_args,
-    _error_core,
     _resolve_table,
     classify_case,
     mse_bound,
@@ -325,6 +324,13 @@ def _weighted(j: MultiIndex) -> int:
     for mode in j:
         w *= 2 * mode + 1
     return w
+
+
+def _error_core(kernel_core: Fraction, double_sum: Fraction,
+                k: int, sum_q: int) -> Fraction:
+    m = k + 2 * sum_q
+    return kernel_core * Fraction(1, 2 ** m) \
+        - double_sum * Fraction(1, 2 ** (2 * (k + sum_q)))
 
 
 def _report(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,

@@ -283,6 +283,25 @@ def test_coeffs_exits_three_on_a_core_that_is_no_integer_ratio(
     assert "positive integer" in err
 
 
+@pytest.mark.parametrize("edit", [{"p": 1.9}, {"exponents": [0, True]},
+                                  {"k": 7}])
+def test_coeffs_exits_three_on_a_k_p_or_exponent_that_is_no_integer(
+        tmp_path, capsys, monkeypatch, edit):
+    # a tampered header with a fresh checksum
+    monkeypatch.setenv("COEFF_CACHE_DIR", str(tmp_path))
+    code, _, _ = run(capsys, "coeffs", "--k", "2", "--p", "1")
+    assert code == 0
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc.update(edit)
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "coeffs", "--k", "2", "--p", "1")
+    assert (code, out) == (3, "")
+    assert "as integers" in err
+
+
 @pytest.mark.parametrize("field,value", [("j", [0, 5]), ("half_power", 4)])
 def test_mse_exits_three_on_entries_the_weights_do_not_give(
         tmp_path, capsys, monkeypatch, field, value):

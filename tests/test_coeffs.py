@@ -437,6 +437,25 @@ def test_cache_rejects_a_negative_order(tmp_path):
         load_table(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"p": 1.9}, {"p": True}, {"p": "1"}, {"exponents": [0.2, 0]},
+    {"exponents": [0, False]}, {"exponents": "00"}, {"k": 7}, {"k": 2.0},
+    {"p": 1.0}, {"p": 1.9, "exponents": [0.2, False], "k": 7}])
+def test_cache_rejects_a_k_p_or_exponent_that_is_no_integer_of_the_table(
+        tmp_path, edit):
+    # each edit, with a fresh checksum, would coerce back to the stored table
+    w = WeightSpec.unit(2)
+    coefficient_table(w, 1, cache_dir=tmp_path)
+    path = next(tmp_path.glob("*.json"))
+    doc = json.loads(path.read_text())
+    del doc["checksum"]
+    doc.update(edit)
+    doc["checksum"] = coeffs._checksum(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheIntegrityError, match="as integers"):
+        load_table(path)
+
+
 def test_cache_rejects_checksum_field_tampering(tmp_path):
     w = WeightSpec.unit(1)
     coefficient_table(w, 1, cache_dir=tmp_path)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -9,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itolegendre.coeffs import Interval, WeightSpec, coefficient_table, kernel_norm
+from itolegendre.coeffs import (
+    CoeffTable,
+    Interval,
+    WeightSpec,
+    coefficient_table,
+    kernel_norm,
+)
 from itolegendre.expansion import IndexPattern, MissingCoefficientError
 from itolegendre.msekit import (
     PatternScopeError,
@@ -285,6 +292,15 @@ def test_bound_validates_levels():
         mse_bound(IndexPattern((1, 2)), (1, -1), w, UNIT)
 
 
+@pytest.mark.parametrize("labels", [(1, 2), (1, 1)])
+def test_exact_error_refuses_a_negative_order_with_a_table(labels):
+    # with a table given nothing is built, so exact_mse checks the order
+    table = coefficient_table(WeightSpec.unit(2), 3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_mse(IndexPattern(labels), -1, WeightSpec.unit(2), UNIT,
+                  table=table)
+
+
 # --- the case catalog --------------------------------------------------------
 
 
@@ -416,6 +432,45 @@ def test_exact_error_is_invariant_under_relabelling(case, image, shift):
     assert a.exact_mse_rational == b.exact_mse_rational
     assert a.bound == b.bound
     assert a.case_id == b.case_id
+
+
+@st.composite
+def wide_tables(draw):
+    """A random pattern of multiplicity 1..5 and a ``CoeffTable`` at order
+    0..3 built directly from random numerators of 64 to 200 bits (a quarter
+    of them zero) over a random denominator, with a truncation order, unequal
+    orders for the bound and a length. Real tables stay below 2^45, so only
+    these catch arithmetic narrower than Python integers."""
+    k = draw(st.integers(1, 5))
+    labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
+    w = WeightSpec(tuple(draw(st.lists(st.integers(0, 2), min_size=k,
+                                       max_size=k))))
+    table_p = draw(st.integers(0, 3))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    nums = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(64, 200))
+            if rng.random() < 0.75 else 0 for _ in range((table_p + 1) ** k)]
+    table = CoeffTable(w, table_p, nums, rng.getrandbits(80) | 1)
+    p = draw(st.integers(0, table_p))
+    p_levels = tuple(draw(st.lists(st.integers(0, table_p), min_size=k,
+                                   max_size=k)))
+    length = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return IndexPattern(labels), w, table, p, p_levels, Interval.from_length(length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_tables())
+def test_exact_error_and_bound_stay_exact_on_wide_numerators(case):
+    pattern, w, table, p, p_levels, interval = case
+    engine = exact_mse(pattern, p, w, interval, table=table)
+    by_group = permutation_mse(pattern, p, w, interval, table=table)
+    by_catalog = enumerated_case_mse(pattern, p, w, interval, table=table)
+    assert engine.exact_mse_rational == by_group.exact_mse_rational
+    assert engine.exact_mse_rational == by_catalog.exact_mse_rational
+    for levels in ((p,) * pattern.k, p_levels):
+        assert mse_bound_exact(pattern, levels, w, interval, table=table) \
+            == factorial_bound(pattern.k, levels, w, interval, table)
+    assert engine.bound == float(factorial_bound(
+        pattern.k, (p,) * pattern.k, w, interval, table))
 
 
 @lru_cache(maxsize=None)
