@@ -234,6 +234,9 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         # name the lexicographically first multi-index of the box that the
         # table lacks: the last level beyond p at p + 1, zeros elsewhere
         k = self.weights.k
+        if any(top < 0 for top in p_levels):
+            raise ValueError(
+                f"truncation orders must be nonnegative: {tuple(p_levels)}")
         if len(p_levels) != k:
             missing = (0,) * len(p_levels)
         elif max(p_levels) > self.p:
@@ -291,16 +294,16 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
     @cached_property
     def _mode_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         # the entries with a nonzero core, ordered by their largest mode so
-        # that those of each box {0..p}^k come first: their modes, w(j), the
-        # numerators as Python ints (object dtype), and per p how many
+        # that those of each box {0..p}^k come first: their modes, w(j) and
+        # the numerators as Python ints (object dtype), and per p how many
         k = self.weights.k
-        modes = np.indices((self.p + 1,) * k).reshape(k, -1).T
+        modes = np.indices((self.p + 1,) * k, dtype=np.int64).reshape(k, -1).T
         nums = np.array(self._nums, dtype=object)
         keep = np.flatnonzero(nums)
         top = modes[keep].max(axis=1)
         keep = keep[np.argsort(top, kind="stable")]
         modes = modes[keep]
-        return (modes, np.prod(2 * modes + 1, axis=1), nums[keep],
+        return (modes, np.prod(2 * modes + 1, axis=1, dtype=object), nums[keep],
                 np.searchsorted(np.sort(top), np.arange(self.p + 1), side="right"))
 
     def orbit_square_sum(self, p: int, blocks: Sequence[Sequence[int]]) -> int:
@@ -312,7 +315,8 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         pass over the table's nonzero entries: each block's modes sorted
         give the orbit key, the entries are grouped by key, and the
         stabilizer is the product of the factorials of the run lengths of
-        the sorted block modes. Numerators and sums stay Python integers.
+        the sorted block modes. Numerators, w(O), the stabilizers and the
+        sums stay Python integers. A negative order raises ValueError.
         """
         groups = [list(b) for b in blocks if len(b) > 1]
         if not groups:
@@ -338,7 +342,7 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
             for prev, pos in zip(b, b[1:]):
                 run = np.where(reps[:, pos] == reps[:, prev], run + 1, 1)
                 stab = stab * run
-        return int(np.dot(stab.astype(object), sums * sums))
+        return int(np.dot(stab, sums * sums))
 
 
 class _TableItems(ItemsView):

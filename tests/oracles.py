@@ -9,6 +9,7 @@ brute-force enumeration over permutation groups, and numerical quadrature.
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -413,6 +414,43 @@ def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
             continue
         total += _weighted(j) * cj * nested(j, 0)
     core = _error_core(kernel_norm(w).core, total, w.k, sum(w.exponents))
+    return _report(pattern, p, w, interval, core, table)
+
+
+def orbit_walk_square_sum(table, p: int, blocks) -> tuple[int, int]:
+    """Sum over the orbits O of {0..p}^k under the permutations within
+    blocks of |Stab(O)| * w(O) * S_O^2, as an integer over D^2, and D.
+
+    A dict walk: each entry is keyed by its blocks' sorted modes, and the
+    stabilizer is the product of the factorials of each block's mode
+    multiplicities. It stays in Python integers and enumerates no group,
+    so it reaches multiplicities whose group is too large to walk."""
+    index, nums, lcm = table.integer_cores((p,) * table.weights.k)
+    sums: dict[tuple, int] = {}
+    for j, n in zip(index, nums):
+        key = tuple(tuple(sorted(j[pos] for pos in b)) for b in blocks)
+        sums[key] = sums.get(key, 0) + n
+    total = 0
+    for key, s in sums.items():
+        stab = math.prod(math.factorial(c) for modes in key
+                         for c in Counter(modes).values())
+        total += stab * _weighted(sum(key, ())) * s * s
+    return total, lcm
+
+
+def orbit_walk_mse(pattern: IndexPattern, p: int, w: WeightSpec,
+                   interval: Interval, *, table=None,
+                   cache_dir=None) -> MseReport:
+    """Exact error from ``orbit_walk_square_sum`` (oracle route) for
+    patterns whose permutation group is too large to enumerate."""
+    _check_exact_args(pattern, w)
+    if pattern.zero_positions:
+        raise PatternScopeError(
+            "exact mean-square error is defined for Wiener components only")
+    table = _resolve_table(w, p, table, cache_dir)
+    total, lcm = orbit_walk_square_sum(table, p, pattern.blocks)
+    core = _error_core(kernel_norm(w).core, Fraction(total, lcm * lcm),
+                       w.k, sum(w.exponents))
     return _report(pattern, p, w, interval, core, table)
 
 

@@ -17,7 +17,11 @@ from itolegendre.coeffs import (
     coefficient_table,
     kernel_norm,
 )
-from itolegendre.expansion import IndexPattern, MissingCoefficientError
+from itolegendre.expansion import (
+    ExperimentalWarning,
+    IndexPattern,
+    MissingCoefficientError,
+)
 from itolegendre.msekit import (
     PatternScopeError,
     classify_case,
@@ -31,6 +35,8 @@ from oracles import (
     allowed_permutations,
     enumerated_case_mse,
     factorial_bound,
+    orbit_walk_mse,
+    orbit_walk_square_sum,
     permutation_mse,
     series_pair_error,
     set_partitions,
@@ -299,6 +305,10 @@ def test_exact_error_refuses_a_negative_order_with_a_table(labels):
     with pytest.raises(ValueError, match="nonnegative"):
         exact_mse(IndexPattern(labels), -1, WeightSpec.unit(2), UNIT,
                   table=table)
+    with pytest.raises(ValueError, match="nonnegative"):
+        table.orbit_square_sum(-1, IndexPattern(labels).blocks)
+    with pytest.raises(ValueError, match="nonnegative"):
+        table.square_sum((0, -1))
 
 
 # --- the case catalog --------------------------------------------------------
@@ -391,6 +401,8 @@ def test_orbit_engine_equals_permutation_and_catalog_oracles(case):
     by_catalog = enumerated_case_mse(pattern, p, w, interval, table=table)
     assert engine.exact_mse_rational == by_group.exact_mse_rational
     assert engine.exact_mse_rational == by_catalog.exact_mse_rational
+    assert engine.exact_mse_rational \
+        == orbit_walk_mse(pattern, p, w, interval, table=table).exact_mse_rational
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,6 +483,28 @@ def test_exact_error_and_bound_stay_exact_on_wide_numerators(case):
             == factorial_bound(pattern.k, levels, w, interval, table)
     assert engine.bound == float(factorial_bound(
         pattern.k, (p,) * pattern.k, w, interval, table))
+
+
+@pytest.mark.parametrize("labels", [
+    (1,) * 8, (1, 1, 1, 1, 2, 2, 2, 2), (1, 1, 1, 1, 1, 2, 2, 3)])
+def test_exact_error_at_multiplicity_8_matches_the_orbit_walk(labels):
+    # at p = 3 the all-threes orbit of (1,) * 8 has w(O) = 7^8 and |Stab| =
+    # 8!, a weight of 2.3e11 that a 32-bit integer would wrap; the table's
+    # numerators are 64 to 200 bits wide, a quarter of them zero
+    rng = random.Random(8)
+    w, p = WeightSpec.unit(8), 3
+    nums = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(64, 200))
+            if rng.random() < 0.75 else 0 for _ in range((p + 1) ** 8)]
+    table = CoeffTable(w, p, nums, rng.getrandbits(80) | 1)
+    pattern = IndexPattern(labels)
+    for order in range(p + 1):
+        assert table.orbit_square_sum(order, pattern.blocks) \
+            == orbit_walk_square_sum(table, order, pattern.blocks)[0]
+    with pytest.warns(ExperimentalWarning):
+        engine = exact_mse(pattern, p, w, UNIT, table=table)
+    with pytest.warns(ExperimentalWarning):
+        walked = orbit_walk_mse(pattern, p, w, UNIT, table=table)
+    assert engine.exact_mse_rational == walked.exact_mse_rational
 
 
 @lru_cache(maxsize=None)
