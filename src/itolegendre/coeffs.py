@@ -234,7 +234,7 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         # name the lexicographically first multi-index of the box that the
         # table lacks: the last level beyond p at p + 1, zeros elsewhere
         k = self.weights.k
-        if any(top < 0 for top in p_levels):
+        if min(p_levels, default=0) < 0:
             raise ValueError(
                 f"truncation orders must be nonnegative: {tuple(p_levels)}")
         if len(p_levels) != k:
@@ -377,15 +377,31 @@ def require_table(table) -> None:
             f"got {type(table).__name__}")
 
 
-def _check_caps(w: WeightSpec, max_mode: int, entries: int,
-                degree_cap: int, exponent_cap: int):
+def checked_table(w: WeightSpec, p_levels: Sequence[int],
+                  table: Optional[CoeffTable] = None) -> CoeffTable:
+    """``table``, or ``coefficient_table(w, max(p_levels))`` when it is None,
+    once it is known to fit: a ``CoeffTable`` (TypeError otherwise) that
+    covers the box {0..p_1} x ... x {0..p_k} (ValueError for a negative
+    order, MissingCoefficientError naming the first missing multi-index)
+    and was built for ``w`` (ValueError otherwise)."""
+    if table is None:
+        table = coefficient_table(w, max(p_levels))
+    require_table(table)
+    table._check_covers(p_levels)
+    if table.weights != w:
+        raise ValueError(
+            f"coefficient table was not built for weight exponents {w.exponents}")
+    return table
+
+
+def _check_caps(w: WeightSpec, max_mode: int, entries: int, degree_cap: int):
     if max_mode > degree_cap:
         raise DegreeCapError(
             f"mode {max_mode} exceeds the degree cap {degree_cap}")
     worst = max(w.exponents)
-    if worst > exponent_cap:
-        raise DegreeCapError(
-            f"weight exponent {worst} exceeds the exponent cap {exponent_cap}")
+    if worst > DEFAULT_EXPONENT_CAP:
+        raise DegreeCapError(f"weight exponent {worst} exceeds the exponent "
+                             f"cap {DEFAULT_EXPONENT_CAP}")
     if entries > MAX_TABLE_ENTRIES:
         raise DegreeCapError(
             f"{entries} table entries requested; the limit is "
@@ -414,8 +430,7 @@ def _simplex_cores(exponents: Sequence[int],
 
 
 def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
-                        degree_cap: int = DEFAULT_DEGREE_CAP,
-                        exponent_cap: int = DEFAULT_EXPONENT_CAP) -> CoeffValue:
+                        degree_cap: int = DEFAULT_DEGREE_CAP) -> CoeffValue:
     """Exact kernel projection onto phi_{j_1} x ... x phi_{j_k}.
 
     ``j`` lists modes in integration order: j[0] belongs to the innermost
@@ -427,7 +442,7 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
         raise ValueError(f"multi-index length {len(j)} != multiplicity {w.k}")
     if any(m < 0 for m in j):
         raise ValueError(f"modes must be nonnegative, got {j}")
-    _check_caps(w, max(j), 1, degree_cap, exponent_cap)
+    _check_caps(w, max(j), 1, degree_cap)
     core, = _simplex_cores(w.exponents, [(m,) for m in j])
     return CoeffValue(core, tuple(2 * m + 1 for m in j), *_scale_powers(w))
 
@@ -446,9 +461,7 @@ def kernel_norm(w: WeightSpec) -> CoeffValue:
 
 def coefficient_table(w: WeightSpec, p: int, *,
                       cache_dir: Optional[Union[str, Path]] = None,
-                      degree_cap: int = DEFAULT_DEGREE_CAP,
-                      exponent_cap: int = DEFAULT_EXPONENT_CAP,
-                      ) -> CoeffTable:
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> CoeffTable:
     """All (p + 1)^k coefficients, in lexicographic multi-index order.
 
     A request for more than MAX_TABLE_ENTRIES entries raises DegreeCapError
@@ -460,7 +473,7 @@ def coefficient_table(w: WeightSpec, p: int, *,
     """
     if p < 0:
         raise ValueError(f"truncation order must be nonnegative, got {p}")
-    _check_caps(w, p, (p + 1) ** w.k, degree_cap, exponent_cap)
+    _check_caps(w, p, (p + 1) ** w.k, degree_cap)
 
     if cache_dir is None:
         cache_dir = os.environ.get(CACHE_ENV_VAR) or None

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
@@ -49,7 +50,8 @@ class IndexPattern:
 
     Label 0 denotes the time component; labels >= 1 name Wiener components.
     Only the coincidence structure matters: which positions carry equal
-    nonzero labels.
+    nonzero labels. That structure (``zero_positions``, ``blocks``,
+    ``coincidence_key``) is derived once per pattern.
     """
 
     labels: tuple[int, ...]
@@ -74,12 +76,16 @@ class IndexPattern:
     def k(self) -> int:
         return len(self.labels)
 
-    @property
+    def __getstate__(self):
+        # the labels alone: derived structure is not pickled
+        return {"labels": self.labels}
+
+    @cached_property
     def zero_positions(self) -> tuple[int, ...]:
         """Positions carrying the time component (0-based)."""
         return tuple(l for l, i in enumerate(self.labels) if i == 0)
 
-    @property
+    @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Groups of positions sharing a nonzero label, singletons included."""
         seen: dict[int, list[int]] = {}
@@ -89,7 +95,7 @@ class IndexPattern:
         return tuple(tuple(v) for v in
                      sorted(seen.values(), key=lambda block: block[0]))
 
-    @property
+    @cached_property
     def coincidence_key(self) -> frozenset[frozenset[int]]:
         """Blocks of size >= 2 as a canonical partition key."""
         return frozenset(frozenset(b) for b in self.blocks if len(b) >= 2)

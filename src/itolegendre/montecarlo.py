@@ -13,6 +13,9 @@ Each thread keeps (chunk rows, steps) buffers for the whole run. A label's
 standard normals are drawn straight into one, in sorted label order, and
 projected with sqrt(dt) folded into the basis; the iterated sums then run
 in place (``_iterated_sums``), with dt folded into one final factor.
+
+``empirical_mse`` and ``run_report`` check their table with
+``coeffs.checked_table`` before any path is simulated.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .coeffs import CoeffTable, Interval, WeightSpec, coefficient_table
+from .coeffs import CoeffTable, Interval, WeightSpec, checked_table
 from .expansion import (CHUNK_FLOATS, GaussianDraw, IndexPattern,
                         enumerate_matchings, expansion_plan)
 from .msekit import exact_mse
@@ -57,16 +60,19 @@ class McConfig:
             raise ValueError(f"truncation order must be nonnegative, got {self.p}")
         if self.n_paths < 2 or self.n_steps < 2:
             raise ValueError("need at least 2 paths and 2 grid steps")
+        for advice in self._advisories():
+            warnings.warn(advice, UserWarning, stacklevel=3)
+
+    def _advisories(self) -> list[str]:
+        # warned when built and listed in the run report
+        out = []
         if self.n_paths < MIN_PATHS:
-            warnings.warn(
-                f"{self.n_paths} paths is below the validated minimum of "
-                f"{MIN_PATHS}; the standard error is too large for a decision",
-                UserWarning, stacklevel=2)
+            out.append("standard error too large for a decision: fewer than "
+                       f"{MIN_PATHS} paths")
         if self.n_steps < MIN_STEPS:
-            warnings.warn(
-                f"{self.n_steps} grid steps is below the validated minimum of "
-                f"{MIN_STEPS}; discretization bias may dominate",
-                UserWarning, stacklevel=2)
+            out.append("discretization bias may dominate: fewer than "
+                       f"{MIN_STEPS} steps")
+        return out
 
 
 class McEstimate(NamedTuple):
@@ -224,6 +230,7 @@ def empirical_mse(cfg: McConfig, table: CoeffTable, *,
     chunks (``thread_count``). Identical configurations produce
     bit-identical results regardless of the thread count.
     """
+    table = checked_table(cfg.weights, (cfg.p,) * cfg.pattern.k, table)
     nonzero = sorted(set(cfg.pattern.labels) - {0})
     length = float(cfg.interval.length)
     dt = length / cfg.n_steps
@@ -281,15 +288,14 @@ def empirical_mse(cfg: McConfig, table: CoeffTable, *,
 
 def run_report(cfg: McConfig, *,
                table: Optional[CoeffTable] = None,
-               threads: Optional[int] = None, cache_dir=None) -> dict:
+               threads: Optional[int] = None) -> dict:
     """Validation run as a JSON-ready report.
 
     Echoes the configuration, reports the empirical estimate with its
     standard error, and, for all-Wiener patterns, the exact reference and
-    the z-score of the discrepancy.
+    the z-score of the discrepancy. ``table`` is built when absent.
     """
-    if table is None:
-        table = coefficient_table(cfg.weights, cfg.p, cache_dir=cache_dir)
+    table = checked_table(cfg.weights, (cfg.p,) * cfg.pattern.k, table)
     est = empirical_mse(cfg, table, threads=threads)
     report = {
         "config": {
@@ -306,15 +312,8 @@ def run_report(cfg: McConfig, *,
         "exact_mse": None,
         "exact_mse_rational": None,
         "z_score": None,
-        "warnings": [],
+        "warnings": cfg._advisories(),
     }
-    if cfg.n_paths < MIN_PATHS:
-        report["warnings"].append(
-            "standard error too large for a decision: fewer than "
-            f"{MIN_PATHS} paths")
-    if cfg.n_steps < MIN_STEPS:
-        report["warnings"].append(
-            f"discretization bias may dominate: fewer than {MIN_STEPS} steps")
     if not cfg.pattern.zero_positions:
         ref = exact_mse(cfg.pattern, cfg.p, cfg.weights, cfg.interval,
                         table=table)

@@ -19,7 +19,9 @@ transcribed case catalog for multiplicities 1..5 (labels (I), (II),
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
 truncations and, for patterns containing the time component, requires
-interval length below 1.
+interval length below 1. Every entry point takes its table through
+``coeffs.checked_table``, which builds it when absent and refuses one
+that is not a ``CoeffTable``, too short or built for other weights.
 """
 
 from __future__ import annotations
@@ -30,15 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .coeffs import (
-    CoeffTable,
-    Interval,
-    MissingCoefficientError,
-    WeightSpec,
-    coefficient_table,
-    kernel_norm,
-    require_table,
-)
+from .coeffs import CoeffTable, Interval, WeightSpec, checked_table, kernel_norm
 from .expansion import CERTIFIED_MAX_K, ExperimentalWarning, IndexPattern
 
 
@@ -233,24 +227,6 @@ def classify_case(pattern: IndexPattern) -> Optional[str]:
 # labels distinct, or the bound) it is the squared sum sum_j w(j) C(j)^2.
 
 
-def _resolve_table(w: WeightSpec, p: int, table: Optional[CoeffTable],
-                   cache_dir) -> CoeffTable:
-    if table is None:
-        return coefficient_table(w, p, cache_dir=cache_dir)
-    return table
-
-
-def _check_table(table: CoeffTable, w: WeightSpec):
-    """Reject anything but a CoeffTable, and a table of other weights."""
-    require_table(table)
-    if table.weights.k != w.k:
-        raise MissingCoefficientError(
-            f"coefficient table does not cover multi-index {(0,) * w.k}")
-    if table.weights != w:
-        raise ValueError(
-            f"coefficient table was not built for weight exponents {w.exponents}")
-
-
 def _scaled_error(w: WeightSpec, total: int, lcm: int, length: Fraction,
                   times: int = 1) -> Fraction:
     """times * (I_k - sum) * length^m as one Fraction, for a double sum
@@ -279,13 +255,12 @@ def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
 
 
 def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
-              *, table: Optional[CoeffTable] = None,
-              cache_dir=None) -> MseReport:
+              *, table: Optional[CoeffTable] = None) -> MseReport:
     """Exact mean-square truncation error via the orbit-sum engine.
 
     Requires an all-Wiener pattern. ``table`` may supply a precomputed
-    ``CoeffTable`` (any table covering modes 0..p works); a table built for
-    other weights raises ValueError, anything else TypeError. The report's
+    ``CoeffTable`` (any table covering modes 0..p works); ``checked_table``
+    builds it when absent and refuses one that does not fit. The report's
     bound comes from the same pass over the table.
     """
     _check_exact_args(pattern, w)
@@ -294,10 +269,7 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
             "exact mean-square error is defined for Wiener components only "
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
-    if p < 0:
-        raise ValueError(f"truncation order must be nonnegative, got {p}")
-    table = _resolve_table(w, p, table, cache_dir)
-    _check_table(table, w)
+    table = checked_table(w, (p,) * w.k, table)
     squares, lcm = table.square_sum((p,) * w.k)
     length = interval.length
     exact = _scaled_error(w, table.orbit_square_sum(p, pattern.blocks), lcm,
@@ -312,22 +284,18 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
 
 def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
                     w: WeightSpec, interval: Interval, *,
-                    table: Optional[CoeffTable] = None,
-                    cache_dir=None) -> Fraction:
+                    table: Optional[CoeffTable] = None) -> Fraction:
     """Exact rational value of the k!-type upper bound.
 
     Supports unequal per-level truncations. Patterns with time components
     (label 0) require interval length strictly below 1; the bound does not
-    apply otherwise. A table built for other weights raises ValueError,
-    anything but a ``CoeffTable`` TypeError. The squared sum is one lookup
-    in the table's prefix sums.
+    apply otherwise. ``table`` is taken as in ``exact_mse``. The squared
+    sum is one lookup in the table's prefix sums.
     """
     p_levels = tuple(int(p) for p in p_levels)
     if len(p_levels) != pattern.k:
         raise ValueError(
             f"expected {pattern.k} truncation orders, got {len(p_levels)}")
-    if any(p < 0 for p in p_levels):
-        raise ValueError(f"truncation orders must be nonnegative: {p_levels}")
     if w.k != pattern.k:
         raise ValueError(
             f"pattern multiplicity {pattern.k} != weight multiplicity {w.k}")
@@ -338,8 +306,7 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
         raise PatternScopeError(
             "patterns with time components (label 0) are bounded only for "
             f"interval length < 1, got length {interval.length}")
-    table = _resolve_table(w, max(p_levels), table, cache_dir)
-    _check_table(table, w)
+    table = checked_table(w, p_levels, table)
     squares, lcm = table.square_sum(p_levels)
     return _scaled_error(w, squares, lcm, interval.length,
                          math.factorial(pattern.k))
@@ -347,8 +314,6 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
 
 def mse_bound(pattern: IndexPattern, p_levels: Iterable[int], w: WeightSpec,
               interval: Interval, *,
-              table: Optional[CoeffTable] = None,
-              cache_dir=None) -> float:
+              table: Optional[CoeffTable] = None) -> float:
     """Floating-point value of the upper bound; see ``mse_bound_exact``."""
-    return float(mse_bound_exact(pattern, p_levels, w, interval,
-                                 table=table, cache_dir=cache_dir))
+    return float(mse_bound_exact(pattern, p_levels, w, interval, table=table))

@@ -21,6 +21,7 @@ from itolegendre.coeffs import (
     Interval,
     MultiIndex,
     WeightSpec,
+    coefficient_table,
     kernel_norm,
 )
 from itolegendre.expansion import (
@@ -36,7 +37,6 @@ from itolegendre.msekit import (
     MseReport,
     PatternScopeError,
     _check_exact_args,
-    _resolve_table,
     classify_case,
     mse_bound,
 )
@@ -348,14 +348,19 @@ def _report(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
         case_id=classify_case(pattern))
 
 
+def _table_or_build(w: WeightSpec, p: int, table):
+    # build the table when none is given; the given one is taken as is
+    return coefficient_table(w, p) if table is None else table
+
+
 def permutation_mse(pattern: IndexPattern, p: int, w: WeightSpec,
                     interval: Interval, *,
                     table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
-                    cache_dir=None) -> MseReport:
+                    ) -> MseReport:
     """Exact error from the explicitly enumerated permutation group."""
     _check_exact_args(pattern, w)
     perms = list(allowed_permutations(pattern))
-    table = _resolve_table(w, p, table, cache_dir)
+    table = _table_or_build(w, p, table)
     cores = _core_map(table)
     total = Fraction(0)
     for j in itertools.product(range(p + 1), repeat=pattern.k):
@@ -374,7 +379,7 @@ def permutation_mse(pattern: IndexPattern, p: int, w: WeightSpec,
 def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
                         interval: Interval, *,
                         table: Optional[Mapping[MultiIndex, CoeffValue]] = None,
-                        cache_dir=None) -> MseReport:
+                        ) -> MseReport:
     """Exact error from the transcribed case catalog (oracle route).
 
     Evaluates the nested permutation sums exactly as written in the
@@ -392,7 +397,7 @@ def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
         raise PatternScopeError(
             f"pattern {pattern.labels} matches no catalog case "
             f"(multiplicities 1..{CERTIFIED_MAX_K} only)")
-    table = _resolve_table(w, p, table, cache_dir)
+    table = _table_or_build(w, p, table)
     cores = _core_map(table)
 
     def nested(j: MultiIndex, depth: int) -> Fraction:
@@ -439,15 +444,14 @@ def orbit_walk_square_sum(table, p: int, blocks) -> tuple[int, int]:
 
 
 def orbit_walk_mse(pattern: IndexPattern, p: int, w: WeightSpec,
-                   interval: Interval, *, table=None,
-                   cache_dir=None) -> MseReport:
+                   interval: Interval, *, table=None) -> MseReport:
     """Exact error from ``orbit_walk_square_sum`` (oracle route) for
     patterns whose permutation group is too large to enumerate."""
     _check_exact_args(pattern, w)
     if pattern.zero_positions:
         raise PatternScopeError(
             "exact mean-square error is defined for Wiener components only")
-    table = _resolve_table(w, p, table, cache_dir)
+    table = _table_or_build(w, p, table)
     total, lcm = orbit_walk_square_sum(table, p, pattern.blocks)
     core = _error_core(kernel_norm(w).core, Fraction(total, lcm * lcm),
                        w.k, sum(w.exponents))

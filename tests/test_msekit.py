@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itolegendre import montecarlo
 from itolegendre.coeffs import (
     CoeffTable,
     Interval,
@@ -139,6 +140,59 @@ def test_plain_dict_table_is_rejected_with_a_type_error():
         mse_bound_exact(IndexPattern((1, 2)), (2, 1), w, UNIT, table=plain)
     with pytest.raises(TypeError, match="coefficient_table"):
         mse_bound(IndexPattern((1, 1)), (2, 2), w, UNIT, table=plain)
+
+
+# each bad table: (table, order, error type, message); the weights are
+# q = (1, 0), and the q = (0, 0) table once gave empirical_mse about 0.08 for
+# an exact error of 0.00201 with no error raised
+_Q10 = WeightSpec((1, 0))
+BAD_TABLES = {
+    "plain dict": (lambda: dict(coefficient_table(_Q10, 1)), 1,
+                   TypeError, "coefficient_table"),
+    "other weights": (lambda: coefficient_table(WeightSpec.unit(2), 1), 1,
+                      ValueError, r"weight exponents \(1, 0\)"),
+    "too short": (lambda: coefficient_table(_Q10, 0), 1,
+                  MissingCoefficientError, r"multi-index \(0, 1\)"),
+    "negative order": (lambda: coefficient_table(_Q10, 1), -1,
+                       ValueError, "nonnegative"),
+}
+
+
+def _mc_config(p):
+    return montecarlo.McConfig(
+        pattern=IndexPattern((1, 2)), p=p, weights=_Q10,
+        interval=Interval.from_length(F(1, 2)), n_paths=200, n_steps=64,
+        seed=1)
+
+
+CONSUMERS = {
+    "exact_mse": lambda t, p: exact_mse(
+        IndexPattern((1, 2)), p, _Q10, Interval.from_length(F(1, 2)),
+        table=t),
+    "mse_bound_exact": lambda t, p: mse_bound_exact(
+        IndexPattern((1, 2)), (p, p), _Q10, Interval.from_length(F(1, 2)),
+        table=t),
+    "mse_bound": lambda t, p: mse_bound(
+        IndexPattern((0, 2)), (p, p), _Q10, Interval.from_length(F(1, 2)),
+        table=t),
+    "empirical_mse": lambda t, p: montecarlo.empirical_mse(
+        _mc_config(p), t, threads=1),
+    "run_report": lambda t, p: montecarlo.run_report(
+        _mc_config(p), table=t, threads=1),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TABLES))
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_every_consumer_refuses_a_bad_table_before_simulating(
+        monkeypatch, consumer, bad):
+    def simulated(*args, **kwargs):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(montecarlo, "_iterated_sums", simulated)
+    make_table, p, error, message = BAD_TABLES[bad]
+    with pytest.raises(error, match=message):
+        CONSUMERS[consumer](make_table(), p)
 
 
 # --- permutation groups ------------------------------------------------------
