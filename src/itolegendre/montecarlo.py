@@ -9,10 +9,15 @@ batch-means standard errors, and are safe to compute across threads
 (chunks draw from disjoint seed substreams and the reduction is
 order-insensitive).
 
-Each thread keeps (chunk rows, steps) buffers for the whole run. A label's
-standard normals are drawn straight into one, in sorted label order, and
-projected with sqrt(dt) folded into the basis; the iterated sums then run
-in place (``_iterated_sums``), with dt folded into one final factor.
+Each chunk streams its Wiener labels, in sorted label order, in row blocks
+of CHUNK_FLOATS // 16 floats: each block's standard normals are drawn,
+scaled by sqrt(dt) and projected (``_project``, without BLAS), and every
+level whose label has been drawn is folded into one running (chunk rows,
+steps) buffer (``_iterated_sums``). A label's full draw is held only while
+a level that needs it waits on a later label: sorted-label patterns keep
+one chunk buffer per thread, (1, 2, 1) two. Block draws give the normals
+of one whole-chunk draw, and each path's values do not depend on the rows
+beside it, so estimates do not depend on the block size either.
 
 ``empirical_mse`` and ``run_report`` check their table with
 ``coeffs.checked_table`` before any path is simulated.
@@ -37,6 +42,7 @@ from .msekit import exact_mse
 MIN_PATHS = 100
 MIN_STEPS = 64
 _N_BATCHES = 100
+_BLOCK_SPLIT = 16  # row blocks per chunk: CHUNK_FLOATS // 16 floats each
 
 
 @dataclass(frozen=True)
@@ -88,58 +94,109 @@ def _phi_matrix(p: int, n_steps: int, interval: Interval) -> np.ndarray:
     return van * np.sqrt((2.0 * np.arange(p + 1) + 1.0) / length)
 
 
-class _Pool:
-    """Reusable (rows, steps) float buffers of one thread."""
+def _project(inc: np.ndarray, phi: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Left-point sums of each basis column against each row of ``inc``.
 
-    def __init__(self, rows: int, steps: int):
-        self.shape, self.free = (rows, steps), []
-
-    def take(self, rows: int) -> np.ndarray:
-        return (self.free.pop() if self.free else np.empty(self.shape))[:rows]
-
-    def give(self, buf: np.ndarray) -> None:
-        self.free.append(buf.base)
-
-
-def _iterated_sums(fetch: Callable[[int], np.ndarray], pattern: IndexPattern,
-                   exponents: Sequence[int], pool: _Pool) -> np.ndarray:
-    """Left-point iterated sums of a batch of paths, one per row.
-
-    ``fetch(label)`` hands over a label's increments once, in a ``pool``
-    buffer. The weight (s - t)^q enters as step^q, so the sums still need
-    the factor dt^(q_1 + ... + q_k). Level m's running sum, zero before step
-    m, is formed in place shifted m steps left, and buffers go back to the
-    pool after their last level: at most (distinct labels + 1) are held.
+    einsum rather than BLAS: a row's sums do not depend on the rows beside
+    it or on the BLAS build, and no BLAS threads start beside the workers.
     """
-    last = {label: m for m, label in enumerate(pattern.labels)}
-    rows: dict[int, np.ndarray] = {}
-    for m, (label, q) in enumerate(zip(pattern.labels, exponents)):
-        if label not in rows:
-            rows[label] = fetch(label)
-        inc = rows.pop(label) if last[label] == m else rows[label]
-        n = inc.shape[1]
-        if m == 0:
-            run = inc
-            if label in rows:  # needed again: sum a copy
-                run = pool.take(len(inc))
-                run[...] = inc
-            cur = run
-        else:
-            # cur[:, i - m] is level m - 1's sum over the steps before i
-            cur = run[:, :max(n - m, 0)]
-            if m < pattern.k - 1:
-                np.multiply(inc[:, m:], cur, out=cur)
-        if q:
-            cur *= np.arange(m, n, dtype=float) ** q
-        if m < pattern.k - 1:
-            np.cumsum(cur, axis=1, out=cur)
-        elif m:
-            total = np.einsum("ij,ij->i", inc[:, m:], cur)
-        else:
-            total = cur.sum(axis=1)
-        if inc is not run and label not in rows:
-            pool.give(inc)
-    pool.give(run)
+    return np.einsum("...j,jk->...k", inc, phi, out=out)
+
+
+class _Pool:
+    """Float buffers of one thread, (rows, steps) each, one per role."""
+
+    def __init__(self, steps: int):
+        self.steps, self.buffers = steps, {}
+
+    def take(self, role: Union[str, int], rows: int) -> np.ndarray:
+        """The role's buffer cut to ``rows``; it is kept for later calls."""
+        buf = self.buffers.get(role)
+        if buf is None or len(buf) < rows:
+            buf = self.buffers[role] = np.empty((rows, self.steps))
+        return buf[:rows]
+
+
+def _block_rows(n_steps: int) -> int:
+    """Rows of the blocks the kernel takes from its source at a time."""
+    return max(1, CHUNK_FLOATS // _BLOCK_SPLIT // n_steps)
+
+
+def _stages(pattern: IndexPattern) -> tuple[list[int], list[int], set[int]]:
+    """Draw order of the labels, the draw each level waits on, held labels.
+
+    Labels are drawn in sorted order, so the time row (label 0, no draw)
+    comes first. Level m waits on the latest draw among levels 0..m. A
+    Wiener label that a level needs after its own draw is held in full.
+    """
+    order = sorted(set(pattern.labels))
+    stage, at = [], 0
+    for label in pattern.labels:
+        at = max(at, order.index(label))
+        stage.append(at)
+    held = {label for label, s in zip(pattern.labels, stage)
+            if label and s > order.index(label)}
+    return order, stage, held
+
+
+def _fold(m: int, k: int, inc: np.ndarray, run: np.ndarray,
+          weight: Optional[np.ndarray], total: np.ndarray) -> None:
+    """Level m of k on one row block, in place in ``run``; reads ``inc``."""
+    last = m == k - 1
+    if m == 0:
+        cur = inc if weight is None else np.multiply(inc, weight, out=run)
+    else:
+        # cur[:, i - m] is level m - 1's sum over the steps before i
+        cur = run[:, :max(inc.shape[1] - m, 0)]
+        if not last:
+            np.multiply(inc[:, m:], cur, out=cur)
+        if weight is not None:
+            cur *= weight
+    if not last:
+        np.cumsum(cur, axis=1, out=run[:, :cur.shape[1]])
+    elif m:
+        np.einsum("ij,ij->i", inc[:, m:], cur, out=total)
+    else:
+        cur.sum(axis=1, out=total)
+
+
+def _iterated_sums(source: Callable[[int, int, np.ndarray], None], rows: int,
+                   pattern: IndexPattern, exponents: Sequence[int],
+                   pool: _Pool) -> np.ndarray:
+    """Left-point iterated sums of a batch of ``rows`` paths, one per row.
+
+    ``source(label, lo, out)`` writes a label's increments for rows lo,
+    lo + 1, ... into ``out``. Each Wiener label is asked for once, in row
+    blocks (``_block_rows``) and in draw order (``_stages``); the time row
+    again wherever a later level needs it. Every level whose label has been
+    drawn is folded into one running (rows, steps) buffer as each block
+    arrives; level m's sum, zero before step m, is kept shifted m steps
+    left. A held label's full draw stays in its own buffer. The weight
+    (s - t)^q enters as step^q, so the sums still need the factor
+    dt^(q_1 + ... + q_k).
+    """
+    labels, k, n = pattern.labels, pattern.k, pool.steps
+    order, stage, held = _stages(pattern)
+    weights = [np.arange(m, n, dtype=float) ** q if q else None
+               for m, q in enumerate(exponents)]
+    run, total = pool.take("run", rows), np.empty(rows)
+    keep = {label: pool.take(label, rows) for label in held}
+    step = _block_rows(n)
+    for s, label in enumerate(order):
+        levels = [m for m in range(k) if stage[m] == s]
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            inc = {key: buf[lo:hi] for key, buf in keep.items()}
+            if label not in inc:
+                inc[label] = pool.take("block", hi - lo)
+            source(label, lo, inc[label])
+            for m in levels:
+                if labels[m] not in inc:  # the time row, drawn earlier
+                    inc[0] = pool.take("time", hi - lo)
+                    source(0, lo, inc[0])
+                _fold(m, k, inc[labels[m]], run[lo:hi], weights[m],
+                      total[lo:hi])
     return total
 
 
@@ -153,19 +210,17 @@ def simulate_true_integral(path: Mapping[int, np.ndarray], w: WeightSpec,
     (label 0) is the constant dt. Accepts a single path (1-D rows) or a
     batch (2-D rows, paths along the first axis).
     """
-    rows = {label: np.asarray(row, dtype=float) for label, row in path.items()}
-    batched = next(iter(rows.values())).ndim == 2
-    n_rows, n_steps = np.atleast_2d(next(iter(rows.values()))).shape
-    pool = _Pool(n_rows, n_steps)
+    batched = np.ndim(next(iter(path.values()))) == 2
+    rows = {label: np.atleast_2d(np.asarray(row, dtype=float))
+            for label, row in path.items()}
+    n_rows, n_steps = next(iter(rows.values())).shape
 
-    def fetch(label: int) -> np.ndarray:  # a copy: the kernel overwrites it
-        buf = pool.take(n_rows)
-        buf[...] = rows[label]
-        return buf
+    def source(label: int, lo: int, out: np.ndarray) -> None:
+        out[...] = rows[label][lo:lo + len(out)]
 
     dt = float(interval.length) / n_steps
-    out = _iterated_sums(fetch, pattern, w.exponents, pool) \
-        * dt ** sum(w.exponents)
+    out = _iterated_sums(source, n_rows, pattern, w.exponents,
+                         _Pool(n_steps)) * dt ** sum(w.exponents)
     return out if batched else float(out[0])
 
 
@@ -174,12 +229,14 @@ def zetas_from_path(path: Mapping[int, np.ndarray], p: int,
     """Gaussian draw discretized from one path's increments (coupled).
 
     Each zeta_j is the left-point sum of phi_j against the increments, on
-    the same grid as ``simulate_true_integral``.
+    the same grid as ``simulate_true_integral``, by the projection the
+    Monte Carlo uses: a batch gives its draws bit for bit.
     """
     rows = {label: np.asarray(row, dtype=float) for label, row in path.items()}
     phi = _phi_matrix(p, next(iter(rows.values())).shape[-1], interval)
     return GaussianDraw(length=float(interval.length),
-                        zeta={label: row @ phi for label, row in rows.items()})
+                        zeta={label: _project(row, phi)
+                              for label, row in rows.items()})
 
 
 def _usable_cpus() -> int:
@@ -204,20 +261,27 @@ def thread_count(cfg: McConfig, threads: Optional[int] = None) -> int:
 
 
 def peak_bytes_per_thread(cfg: McConfig) -> int:
-    """Bound on one thread's arrays: (distinct labels + 1) chunk buffers,
-    which the pool still holds while ``ExpansionPlan.values`` runs, plus
-    that call's arrays per path. These are the draws, their concatenation,
-    the two sums, and a block of gathered matching-term factors (k per term,
-    CHUNK_FLOATS per chunk unless one orbit has more terms) with its
-    products, beside the previous block's products and orbit brackets."""
+    """Bound on one thread's arrays. The pool keeps the kernel's running
+    buffer, a full draw of each held label (``_stages``) and a row block of
+    increments, two where the time row is fetched again, for the whole run.
+    Beside them are the basis and level weights (k + p + 1 floats per step)
+    and, per path, the draws and ``ExpansionPlan.values``'s arrays: the
+    draws' concatenation, the two sums, and a block of gathered
+    matching-term factors (k per term, CHUNK_FLOATS per chunk unless one
+    orbit has more terms) with its products, beside the previous block's
+    products and orbit brackets."""
     rows = min(_chunking(cfg)[0], cfg.n_paths)
     k, distinct = cfg.pattern.k, len(set(cfg.pattern.labels))
+    _, stage, held = _stages(cfg.pattern)
+    blocks = 1 + any(s and not label
+                     for label, s in zip(cfg.pattern.labels, stage))
     terms = len(enumerate_matchings(cfg.pattern))
     block = min(max(CHUNK_FLOATS // (rows * k), terms),
                 (cfg.p + 1) ** k * terms)
-    per_path = (distinct + 1) * cfg.n_steps + (k + 3) * block \
+    per_path = (1 + len(held)) * cfg.n_steps + (k + 3) * block \
         + 2 * (distinct * (cfg.p + 1) + 2)
-    return per_path * rows * 8
+    per_step = blocks * min(_block_rows(cfg.n_steps), rows) + k + cfg.p + 1
+    return (per_path * rows + per_step * cfg.n_steps) * 8
 
 
 def empirical_mse(cfg: McConfig, table: CoeffTable, *,
@@ -227,19 +291,18 @@ def empirical_mse(cfg: McConfig, table: CoeffTable, *,
     Averages (J_true - J_p)^2 over paths, where both values come from the
     same increments. Returns the mean and its batch-means standard error.
     ``threads`` defaults to the usable CPUs, capped at the number of
-    chunks (``thread_count``). Identical configurations produce
-    bit-identical results regardless of the thread count.
+    chunks (``thread_count``). Each thread streams its chunks through one
+    running buffer and the labels it must hold (``peak_bytes_per_thread``).
+    Identical configurations produce bit-identical results regardless of
+    the thread count or the BLAS build.
     """
     table = checked_table(cfg.weights, (cfg.p,) * cfg.pattern.k, table)
-    nonzero = sorted(set(cfg.pattern.labels) - {0})
+    labels = sorted(set(cfg.pattern.labels))
     length = float(cfg.interval.length)
     dt = length / cfg.n_steps
+    root_dt = math.sqrt(dt)
     phi = _phi_matrix(cfg.p, cfg.n_steps, cfg.interval)
-    # raw increments: standard normals for Wiener rows, ones for the time row
-    phi_w, phi_t = phi * math.sqrt(dt), phi * dt
-    scale = math.prod(math.sqrt(dt) if label else dt
-                      for label in cfg.pattern.labels) \
-        * dt ** sum(cfg.weights.exponents)
+    scale = dt ** sum(cfg.weights.exponents)
     plan = expansion_plan(cfg.pattern, cfg.p, table)
 
     chunk, n_chunks = _chunking(cfg)
@@ -251,28 +314,23 @@ def empirical_mse(cfg: McConfig, table: CoeffTable, *,
         start = idx * chunk
         rows = min(chunk, cfg.n_paths - start)
         rng = np.random.default_rng(seeds[idx])
-        pending = iter(nonzero)
-        drawn: dict[int, np.ndarray] = {}
-        zeta: dict[int, np.ndarray] = {}
+        zeta = {label: np.empty((rows, cfg.p + 1)) for label in labels}
 
-        def fetch(label: int) -> np.ndarray:
-            while label not in drawn:  # Wiener rows in sorted label order
-                nxt = next(pending) if label else 0
-                buf = drawn[nxt] = pool.take(rows)
-                if nxt:
-                    rng.standard_normal(out=buf)
-                else:
-                    buf.fill(1.0)
-                zeta[nxt] = buf @ (phi_w if nxt else phi_t)
-            return drawn.pop(label)
+        def source(label: int, lo: int, out: np.ndarray) -> None:
+            if label:  # Wiener rows: in sorted label order, row block by block
+                rng.standard_normal(out=out)
+                out *= root_dt
+            else:
+                out.fill(dt)
+            _project(out, phi, out=zeta[label][lo:lo + len(out)])
 
-        j_true = _iterated_sums(fetch, cfg.pattern, cfg.weights.exponents,
-                                pool) * scale
+        j_true = _iterated_sums(source, rows, cfg.pattern,
+                                cfg.weights.exponents, pool) * scale
         j_p = plan.values(zeta, length)
         sq[start:start + rows] = (j_true - j_p) ** 2
 
     def work(first: int):
-        pool = _Pool(min(chunk, cfg.n_paths), cfg.n_steps)
+        pool = _Pool(cfg.n_steps)
         for idx in range(first, n_chunks, threads):
             run_chunk(idx, pool)
 

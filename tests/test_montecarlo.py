@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import itolegendre.montecarlo as montecarlo
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
-from itolegendre.expansion import IndexPattern, expansion_plan
+from itolegendre.expansion import ExpansionPlan, IndexPattern, expansion_plan
 from itolegendre.montecarlo import (
     McConfig,
     empirical_mse,
@@ -355,7 +356,11 @@ def fresh_array_empirical_mse(cfg, table):
         if 0 in cfg.pattern.labels:
             incr[0] = np.full(shape, dt)
         j_true = _iterated_sums(incr, cfg.weights, cfg.pattern, cfg.interval)
-        zeta = {label: row @ phi for label, row in incr.items()}
+        # summed without BLAS, so every row is rounded alike: a BLAS product
+        # may round rows differently, which shows in the standard error of
+        # a pattern whose error is the same on every path, such as (0,)
+        zeta = {label: np.einsum("ij,jk->ik", row, phi)
+                for label, row in incr.items()}
         sq.append((j_true - plan.values(zeta, length)) ** 2)
     sq = np.concatenate(sq)
     means = [b.mean() for b in np.array_split(sq, 100)]
@@ -365,8 +370,13 @@ def fresh_array_empirical_mse(cfg, table):
 @settings(max_examples=25, deadline=None)
 @given(weighted_patterns(), st.integers(0, 2), st.integers(0, 1000))
 @example((IndexPattern((0, 1, 0, 2)), WeightSpec((0, 1, 2, 0))), 1, 5)
+@example((IndexPattern((2, 1)), WeightSpec((1, 2))), 2, 7)
+@example((IndexPattern((1, 2, 1)), WeightSpec((2, 0, 1))), 1, 8)
+@example((IndexPattern((3, 1, 0, 2, 1)), WeightSpec((0, 2, 1, 0, 1))), 1, 9)
 def test_chunked_estimate_matches_fresh_array_oracle(case, p, seed):
-    # 64 steps, 37 paths per chunk: chunks of 37, 37 and a short 26
+    # 64 steps, 37 paths per chunk: chunks of 37, 37 and a short 26, each
+    # streamed in row blocks of 2 paths (148 floats); (2, 1), (1, 2, 1) and
+    # (3, 1, 0, 2, 1) hold a label's draw while a later one is drawn
     pattern, w = case
     table = coefficient_table(w, p)
     cfg = McConfig(pattern=pattern, p=p, weights=w,
@@ -377,6 +387,64 @@ def test_chunked_estimate_matches_fresh_array_oracle(case, p, seed):
         want, want_se = fresh_array_empirical_mse(cfg, table)
     assert est.estimate == pytest.approx(want, rel=1e-12, abs=1e-24)
     assert est.standard_error == pytest.approx(want_se, rel=1e-12, abs=1e-24)
+
+
+@pytest.mark.parametrize("labels, q", [((1, 2, 1), (1, 0, 2)),
+                                       ((0, 1, 0, 2), (2, 1, 0, 1)),
+                                       ((2, 1), (0, 0)), ((1, 2, 3), (0, 0, 0))])
+def test_estimate_is_bit_identical_across_block_budgets_and_threads(
+        monkeypatch, labels, q):
+    # three chunks of up to 37 paths x 64 steps, streamed in row blocks of
+    # 2, 12 or 37 paths
+    w = WeightSpec(q)
+    cfg = McConfig(pattern=IndexPattern(labels), p=1, weights=w,
+                   interval=Interval.from_length(0.5), n_paths=100,
+                   n_steps=64, seed=12)
+    table = coefficient_table(w, 1)
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 37)
+    seen = set()
+    for split in (16, 3, 1):
+        monkeypatch.setattr(montecarlo, "_BLOCK_SPLIT", split)
+        for threads in (1, 2):
+            seen.add(tuple(empirical_mse(cfg, table, threads=threads)))
+    assert len(seen) == 1
+
+
+def test_coupled_draw_is_the_monte_carlo_draw_bit_for_bit(monkeypatch):
+    # one chunk of 100 paths x 64 steps in row blocks of 6 paths: the
+    # increments redrawn from the chunk's seed give the Monte Carlo's zetas
+    # through zetas_from_path and its sums through simulate_true_integral
+    pattern, w = IndexPattern((0, 2, 1)), WeightSpec((1, 0, 2))
+    interval = Interval.from_length(0.5)
+    cfg = McConfig(pattern=pattern, p=2, weights=w, interval=interval,
+                   n_paths=100, n_steps=64, seed=31)
+    monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
+    seen = {}
+    kernel, values = montecarlo._iterated_sums, ExpansionPlan.values
+
+    def sums(*args):
+        seen["sums"] = kernel(*args)
+        return seen["sums"]
+
+    def expansion(plan, zeta, length):
+        seen["zeta"] = {label: row.copy() for label, row in zeta.items()}
+        return values(plan, zeta, length)
+
+    monkeypatch.setattr(montecarlo, "_iterated_sums", sums)
+    monkeypatch.setattr(ExpansionPlan, "values", expansion)
+    empirical_mse(cfg, coefficient_table(w, 2), threads=1)
+    dt = 0.5 / 64
+    rng = np.random.default_rng(np.random.SeedSequence(31).spawn(1)[0])
+    path = {label: rng.standard_normal((100, 64)) * math.sqrt(dt)
+            for label in (1, 2)}
+    path[0] = np.full((100, 64), dt)
+    draw = zetas_from_path(path, 2, interval)
+    assert draw.zeta.keys() == seen["zeta"].keys()
+    for label, zeta in draw.zeta.items():
+        np.testing.assert_array_equal(zeta, seen["zeta"][label])
+    np.testing.assert_array_equal(simulate_true_integral(path, w, pattern,
+                                                         interval),
+                                  seen["sums"] * dt ** 3)
 
 
 @pytest.mark.parametrize("labels, q", [((1, 2, 1), (1, 0, 2)),
@@ -392,42 +460,50 @@ def test_simulate_true_integral_leaves_its_input_unchanged(labels, q, n_rows):
         np.testing.assert_array_equal(row, before[label])
 
 
+def traced_peak(cfg, table):
+    """Traced peak of one estimate at one thread, after a small one of the
+    same kind has paid for first-use imports and the table's derived
+    arrays."""
+    empirical_mse(replace(cfg, n_paths=100, n_steps=64), table, threads=1)
+    tracemalloc.start()
+    try:
+        empirical_mse(cfg, table, threads=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_one_thread_holds_at_most_labels_plus_one_chunk_buffers(monkeypatch):
-    # (1, 2, 3) at 256 steps in four chunks of 512 paths
+    # (1, 2, 3) at 256 steps in four chunks of 512 paths, row blocks of 32
     monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 256 * 512)
     w = WeightSpec.unit(3)
     cfg = McConfig(pattern=IndexPattern((1, 2, 3)), p=1, weights=w,
                    interval=UNIT, n_paths=2048, n_steps=256, seed=4)
     table = coefficient_table(w, 1)
-    # 4 buffers of 256 floats a path; a block of the plan's 8 terms, gathered
-    # 3 floats each, with three arrays of products and brackets (6 x 8); the
-    # draws, their concatenation and the two sums (2 x 8)
-    assert peak_bytes_per_thread(cfg) == (4 * 256 + 6 * 8 + 2 * 8) * 512 * 8
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        empirical_mse(cfg, table, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * 4 * 512 * 256 * 8
+    # per path: the running buffer of 256 floats; a block of the plan's 8
+    # terms, gathered 3 floats each, with three arrays of products and
+    # brackets (6 x 8); the draws, their concatenation and the two sums
+    # (2 x 8). Per step: one block of 32 rows, the basis and level weights
+    assert peak_bytes_per_thread(cfg) == \
+        ((256 + 6 * 8 + 2 * 8) * 512 + (32 + 3 + 2) * 256) * 8
+    assert traced_peak(cfg, table) <= 1.1 * peak_bytes_per_thread(cfg)
 
 
-@pytest.mark.parametrize("labels, p", [((1, 2, 1, 2, 1), 2), ((1, 2), 1)])
+@pytest.mark.parametrize("labels, p", [((1, 2, 1, 2, 1), 2), ((1, 2), 1),
+                                       ((1, 2, 3), 1), ((1, 1, 2), 2),
+                                       ((2, 1), 1), ((1, 0, 2, 0), 1)])
 def test_traced_peak_stays_within_the_memory_estimate(labels, p):
     # one full chunk of 2048 paths x 2048 steps: (1,2,1,2,1) gathers blocks
-    # of matching-term factors near CHUNK_FLOATS beside the kernel buffers
+    # of matching-term factors near CHUNK_FLOATS beside the running buffer
+    # and label 1's held draw; sorted labels need one chunk buffer and a
+    # row block, (1, 0, 2, 0) a second block for the time row
     w = WeightSpec.unit(len(labels))
     cfg = McConfig(pattern=IndexPattern(labels), p=p, weights=w,
                    interval=UNIT, n_paths=2048, n_steps=2048, seed=6)
-    table = coefficient_table(w, p)
-    tracemalloc.start()
-    try:
-        empirical_mse(cfg, table, threads=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(cfg, coefficient_table(w, p))
     assert peak <= peak_bytes_per_thread(cfg)
+    if list(labels) == sorted(labels):
+        assert peak <= 1.25 * 2048 * 2048 * 8
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
