@@ -16,11 +16,14 @@ and builds a ``CoeffValue`` when an entry is read. On first use by the
 exact error it derives, once, the prefix sums of w(j) * n_j^2 with w(j) =
 prod(2 j_l + 1), so that the squared sum over any box {0..p_1} x ... x
 {0..p_k} is one lookup, and the grid of modes of its nonzero entries.
-``CoeffTable.orbit_square_sum`` reads that grid in one array pass: it
-groups the entries by orbit of a pattern's block permutations and returns
-the exact error's double sum as a Python integer over D^2. ``orbit_sums``,
-a dict walk that also keeps each orbit's first member, serves the
-expansion plan; the two share no code.
+``CoeffTable.orbit_square_sum`` returns the exact error's double sum as a
+Python integer over D^2. The first call for a pattern's blocks groups the
+whole grid by orbit of their permutations in one array pass; a block
+permutation keeps each entry's largest mode, so that one grouping gives
+the sum for every order up to the table's, and the table keeps those
+integers, one memo entry per set of blocks. ``orbit_sums``, a dict walk
+that also keeps each orbit's first member, serves the expansion plan; the
+two share no code.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
 ``save_table`` / ``load_table``; a load parses each stored core "n/d" as
@@ -166,7 +169,9 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
     constructor reduces them and D by their common divisor, so equal cores
     give equal tables. The prefix sums of w(j) * n_j^2 and the mode grid
     of the nonzero entries are each derived once, on first use by the exact
-    error.
+    error; ``orbit_square_sum`` keeps the double sums of every order for
+    each set of blocks it has grouped. All of it derives from the
+    numerators alone and never leaves the table.
     """
 
     def __init__(self, weights: WeightSpec, p: int,
@@ -183,7 +188,8 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         half_power, two_power = _scale_powers(weights)
         for name, value in (("weights", weights), ("p", p),
                             ("half_power", half_power), ("two_power", two_power),
-                            ("_nums", nums), ("_lcm", denominator)):
+                            ("_nums", nums), ("_lcm", denominator),
+                            ("_orbit_memo", {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -292,44 +298,49 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         return self._square_prefix[flat], self._lcm
 
     @cached_property
-    def _mode_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # the entries with a nonzero core, ordered by their largest mode so
-        # that those of each box {0..p}^k come first: their modes, w(j) and
-        # the numerators as Python ints (object dtype), and per p how many
+    def _mode_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the entries with a nonzero core: their modes, and w(j) and the
+        # numerators as Python ints (object dtype)
         k = self.weights.k
         modes = np.indices((self.p + 1,) * k, dtype=np.int64).reshape(k, -1).T
         nums = np.array(self._nums, dtype=object)
         keep = np.flatnonzero(nums)
-        top = modes[keep].max(axis=1)
-        keep = keep[np.argsort(top, kind="stable")]
         modes = modes[keep]
-        return (modes, np.prod(2 * modes + 1, axis=1, dtype=object), nums[keep],
-                np.searchsorted(np.sort(top), np.arange(self.p + 1), side="right"))
+        return modes, np.prod(2 * modes + 1, axis=1, dtype=object), nums[keep]
 
-    def orbit_square_sum(self, p: int, blocks: Sequence[Sequence[int]]) -> int:
-        """Sum over the orbits O of {0..p}^k under the permutations within
-        each block of |Stab(O)| * w(O) * S_O^2, where S_O sums the numerators
-        n_j over O: the double sum of the exact error, as an integer over D^2.
+    def _orbit_groups(self, blocks: Sequence[Sequence[int]],
+                      ) -> tuple[tuple[int, ...], ...]:
+        # the blocks of two or more positions, each sorted, in sorted order:
+        # the memo key; every position must be a distinct int in 0..k - 1
+        groups, count, seen = [], 0, set()
+        try:
+            for b in blocks:
+                b = sorted(map(operator.index, b))
+                count += len(b)
+                seen.update(b)
+                if len(b) > 1:
+                    groups.append(tuple(b))
+        except TypeError:
+            raise ValueError(
+                f"blocks must hold integer positions, got {blocks}") from None
+        if len(seen) != count or not seen.issubset(range(self.weights.k)):
+            raise ValueError(
+                f"blocks must hold distinct positions in 0..{self.weights.k - 1}"
+                f", got {blocks}")
+        return tuple(sorted(groups))
 
-        A trivial group is one ``square_sum`` lookup. Otherwise one array
-        pass over the table's nonzero entries: each block's modes sorted
-        give the orbit key, the entries are grouped by key, and the
-        stabilizer is the product of the factorials of the run lengths of
-        the sorted block modes. Numerators, w(O), the stabilizers and the
-        sums stay Python integers. A negative order raises ValueError.
-        """
-        groups = [list(b) for b in blocks if len(b) > 1]
-        if not groups:
-            return self.square_sum((p,) * self.weights.k)[0]
-        self._check_covers((p,) * self.weights.k)
-        modes, weights, nums, ends = self._mode_grid
-        n = ends[p]
-        if not n:
-            return 0
-        canon = modes[:n].copy()
+    def _orbit_prefix(self, groups: tuple[tuple[int, ...], ...]) -> list[int]:
+        # the double sum for every order p = 0..P in one pass over the table:
+        # a block permutation keeps an entry's largest mode, so the orbits in
+        # the box {0..p}^k are those whose largest mode is at most p
+        modes, weights, nums = self._mode_grid
+        totals = [0] * (self.p + 1)
+        if not len(nums):
+            return totals
+        canon = modes.copy()
         for b in groups:
             canon[:, b] = np.sort(canon[:, b], axis=1)
-        key = canon @ (p + 1) ** np.arange(self.weights.k)
+        key = canon @ (self.p + 1) ** np.arange(self.weights.k)
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
@@ -342,7 +353,38 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
             for prev, pos in zip(b, b[1:]):
                 run = np.where(reps[:, pos] == reps[:, prev], run + 1, 1)
                 stab = stab * run
-        return int(np.dot(stab, sums * sums))
+        for top, term in zip(reps.max(axis=1).tolist(),
+                             (stab * sums * sums).tolist()):
+            totals[top] += term
+        return list(itertools.accumulate(totals))
+
+    def orbit_square_sum(self, p: int, blocks: Sequence[Sequence[int]]) -> int:
+        """Sum over the orbits O of {0..p}^k under the permutations within
+        each block of |Stab(O)| * w(O) * S_O^2, where S_O sums the numerators
+        n_j over O: the double sum of the exact error, as an integer over D^2.
+
+        A trivial group is one ``square_sum`` lookup. Any other group is
+        grouped once per table, on its first call: one array pass over the
+        table's nonzero entries, where each block's modes sorted give the
+        orbit key and the stabilizer is the product of the factorials of
+        the run lengths of the sorted block modes. Each orbit's term goes to
+        its largest mode, and the prefix sums give the double sum for every
+        order up to the table's. The table keeps those P + 1 integers under
+        the blocks of two or more positions, so every later call with the
+        same group, at any order, is a lookup. Numerators, w(O), the
+        stabilizers and the sums stay Python integers. Blocks whose
+        positions are not distinct ints in 0..k - 1, or a negative order,
+        raise ValueError.
+        """
+        groups = self._orbit_groups(blocks)
+        if not groups:
+            return self.square_sum((p,) * self.weights.k)[0]
+        self._check_covers((p,) * self.weights.k)
+        totals = self._orbit_memo.get(groups)
+        if totals is None:  # threads that miss together keep the first list
+            totals = self._orbit_memo.setdefault(groups,
+                                                 self._orbit_prefix(groups))
+        return totals[p]
 
 
 class _TableItems(ItemsView):

@@ -15,9 +15,10 @@ scaled by sqrt(dt) and projected (``_project``, without BLAS), and every
 level whose label has been drawn is folded into one running (chunk rows,
 steps) buffer (``_iterated_sums``). A label's full draw is held only while
 a level that needs it waits on a later label: sorted-label patterns keep
-one chunk buffer per thread, (1, 2, 1) two. Block draws give the normals
-of one whole-chunk draw, and each path's values do not depend on the rows
-beside it, so estimates do not depend on the block size either.
+one chunk buffer per thread, (1, 2, 1) two, and single-level ones none.
+Block draws give the normals of one whole-chunk draw, and each path's
+values do not depend on the rows beside it, so estimates do not depend on
+the block size either.
 
 ``empirical_mse`` and ``run_report`` check their table with
 ``coeffs.checked_table`` before any path is simulated.
@@ -140,12 +141,14 @@ def _stages(pattern: IndexPattern) -> tuple[list[int], list[int], set[int]]:
     return order, stage, held
 
 
-def _fold(m: int, k: int, inc: np.ndarray, run: np.ndarray,
+def _fold(m: int, k: int, inc: np.ndarray, run: Optional[np.ndarray],
           weight: Optional[np.ndarray], total: np.ndarray) -> None:
-    """Level m of k on one row block, in place in ``run``; reads ``inc``."""
+    """Level m of k on one row block, in place in ``run``; reads ``inc``.
+    A single level (k = 1) needs no ``run``: it weights ``inc`` in place."""
     last = m == k - 1
     if m == 0:
-        cur = inc if weight is None else np.multiply(inc, weight, out=run)
+        cur = inc if weight is None else \
+            np.multiply(inc, weight, out=inc if last else run)
     else:
         # cur[:, i - m] is level m - 1's sum over the steps before i
         cur = run[:, :max(inc.shape[1] - m, 0)]
@@ -172,15 +175,17 @@ def _iterated_sums(source: Callable[[int, int, np.ndarray], None], rows: int,
     again wherever a later level needs it. Every level whose label has been
     drawn is folded into one running (rows, steps) buffer as each block
     arrives; level m's sum, zero before step m, is kept shifted m steps
-    left. A held label's full draw stays in its own buffer. The weight
-    (s - t)^q enters as step^q, so the sums still need the factor
+    left; a single level needs no running buffer, its weight is folded
+    into the block. A held label's full draw stays in its own buffer. The
+    weight (s - t)^q enters as step^q, so the sums still need the factor
     dt^(q_1 + ... + q_k).
     """
     labels, k, n = pattern.labels, pattern.k, pool.steps
     order, stage, held = _stages(pattern)
     weights = [np.arange(m, n, dtype=float) ** q if q else None
                for m, q in enumerate(exponents)]
-    run, total = pool.take("run", rows), np.empty(rows)
+    run = pool.take("run", rows) if k > 1 else None
+    total = np.empty(rows)
     keep = {label: pool.take(label, rows) for label in held}
     step = _block_rows(n)
     for s, label in enumerate(order):
@@ -195,8 +200,8 @@ def _iterated_sums(source: Callable[[int, int, np.ndarray], None], rows: int,
                 if labels[m] not in inc:  # the time row, drawn earlier
                     inc[0] = pool.take("time", hi - lo)
                     source(0, lo, inc[0])
-                _fold(m, k, inc[labels[m]], run[lo:hi], weights[m],
-                      total[lo:hi])
+                _fold(m, k, inc[labels[m]], run[lo:hi] if k > 1 else None,
+                      weights[m], total[lo:hi])
     return total
 
 
@@ -262,10 +267,11 @@ def thread_count(cfg: McConfig, threads: Optional[int] = None) -> int:
 
 def peak_bytes_per_thread(cfg: McConfig) -> int:
     """Bound on one thread's arrays. The pool keeps the kernel's running
-    buffer, a full draw of each held label (``_stages``) and a row block of
-    increments, two where the time row is fetched again, for the whole run.
-    Beside them are the basis and level weights (k + p + 1 floats per step)
-    and, per path, the draws and ``ExpansionPlan.values``'s arrays: the
+    buffer (for two or more levels), a full draw of each held label
+    (``_stages``) and a row block of increments, two where the time row is
+    fetched again, for the whole run. Beside them are the basis and level
+    weights (k + p + 1 floats per step) and, per path, the squared
+    differences, the draws and ``ExpansionPlan.values``'s arrays: the
     draws' concatenation, the two sums, and a block of gathered
     matching-term factors (k per term, CHUNK_FLOATS per chunk unless one
     orbit has more terms) with its products, beside the previous block's
@@ -278,8 +284,8 @@ def peak_bytes_per_thread(cfg: McConfig) -> int:
     terms = len(enumerate_matchings(cfg.pattern))
     block = min(max(CHUNK_FLOATS // (rows * k), terms),
                 (cfg.p + 1) ** k * terms)
-    per_path = (1 + len(held)) * cfg.n_steps + (k + 3) * block \
-        + 2 * (distinct * (cfg.p + 1) + 2)
+    per_path = (int(k > 1) + len(held)) * cfg.n_steps + (k + 3) * block \
+        + 2 * (distinct * (cfg.p + 1) + 2) + 1
     per_step = blocks * min(_block_rows(cfg.n_steps), rows) + k + cfg.p + 1
     return (per_path * rows + per_step * cfg.n_steps) * 8
 

@@ -8,14 +8,15 @@ at order p is
 where I_k is the squared kernel norm, j runs over {0..p}^k, and sigma runs
 over the position permutations that preserve the pattern: the direct
 product of symmetric groups on its equality blocks. The double sum is
-the table's orbit-weighted square sum (``CoeffTable.orbit_square_sum``):
-one array pass over the orbits of that group, in the exact integer cores
-over D; a trivial group, and the bound, reduce to one lookup of the
-table's prefix sums of w(j) * n_j^2. Each error and bound is then one
-Fraction built from an integer numerator and denominator. The engine is
-checked against the permutation and catalog oracles in tests/. The
-transcribed case catalog for multiplicities 1..5 (labels (I), (II),
-(III).1, ...) names the case of each pattern.
+the table's orbit-weighted square sum (``CoeffTable.orbit_square_sum``),
+in the exact integer cores over D: the table groups its entries by orbit
+of that group once, in one array pass, and keeps the sum for every order,
+so a sweep over p makes one pass; a trivial group, and the bound, reduce
+to one lookup of the table's prefix sums of w(j) * n_j^2. Each error and
+bound is then one Fraction built from an integer numerator and
+denominator. The engine is checked against the permutation and catalog
+oracles in tests/. The transcribed case catalog for multiplicities 1..5
+(labels (I), (II), (III).1, ...) names the case of each pattern.
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
 truncations and, for patterns containing the time component, requires

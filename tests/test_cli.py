@@ -203,9 +203,10 @@ def test_validate_refuses_threads_the_host_memory_cannot_hold(
     # floats per path: the running buffer of 64; a block of the plan's 4
     # terms, gathered 2 floats each, with three arrays of products and
     # brackets (5 x 4); the draws, their concatenation and the two sums
-    # (2 x 6). Per step: a row block of 6 paths, the basis and level weights
+    # (2 x 6); the squared difference. Per step: a row block of 6 paths, the
+    # basis and level weights
     monkeypatch.setattr(montecarlo, "CHUNK_FLOATS", 64 * 100)
-    need = ((64 + 5 * 4 + 2 * 6) * 100 + (6 + 2 + 2) * 64) * 8
+    need = ((64 + 5 * 4 + 2 * 6 + 1) * 100 + (6 + 2 + 2) * 64) * 8
     args = ("validate", "--pattern", "1,2", "--p", "1", "--n-paths", "400",
             "--n-steps", "64", "--seed", "9", "--threads", "4")
     monkeypatch.setattr(cli, "_available_memory", lambda: 4 * need - 1)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import itolegendre.montecarlo as montecarlo
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
-from itolegendre.expansion import ExpansionPlan, IndexPattern, expansion_plan
+from itolegendre.expansion import (CHUNK_FLOATS, ExpansionPlan, IndexPattern,
+                                   expansion_plan)
 from itolegendre.montecarlo import (
     McConfig,
     empirical_mse,
@@ -448,7 +449,8 @@ def test_coupled_draw_is_the_monte_carlo_draw_bit_for_bit(monkeypatch):
 
 
 @pytest.mark.parametrize("labels, q", [((1, 2, 1), (1, 0, 2)),
-                                       ((0, 1), (0, 0)), ((2, 1), (1, 1))])
+                                       ((0, 1), (0, 0)), ((2, 1), (1, 1)),
+                                       ((1,), (2,))])
 @pytest.mark.parametrize("n_rows", [None, 3])
 def test_simulate_true_integral_leaves_its_input_unchanged(labels, q, n_rows):
     rng = np.random.default_rng(8)
@@ -483,9 +485,10 @@ def test_one_thread_holds_at_most_labels_plus_one_chunk_buffers(monkeypatch):
     # per path: the running buffer of 256 floats; a block of the plan's 8
     # terms, gathered 3 floats each, with three arrays of products and
     # brackets (6 x 8); the draws, their concatenation and the two sums
-    # (2 x 8). Per step: one block of 32 rows, the basis and level weights
+    # (2 x 8); the squared difference. Per step: one block of 32 rows, the
+    # basis and level weights
     assert peak_bytes_per_thread(cfg) == \
-        ((256 + 6 * 8 + 2 * 8) * 512 + (32 + 3 + 2) * 256) * 8
+        ((256 + 6 * 8 + 2 * 8 + 1) * 512 + (32 + 3 + 2) * 256) * 8
     assert traced_peak(cfg, table) <= 1.1 * peak_bytes_per_thread(cfg)
 
 
@@ -504,6 +507,26 @@ def test_traced_peak_stays_within_the_memory_estimate(labels, p):
     assert peak <= peak_bytes_per_thread(cfg)
     if list(labels) == sorted(labels):
         assert peak <= 1.25 * 2048 * 2048 * 8
+
+
+@pytest.mark.parametrize("labels, q, p, estimate, stderr", [
+    ((1,), (2,), 1, "0x1.6a148150c4162p-8", "0x1.6cf86788272bep-13"),
+    ((0,), (1,), 0, "0x1.0000000000000p-24", "0x0.0p+0")])
+def test_single_level_patterns_take_no_chunk_buffer(labels, q, p, estimate,
+                                                     stderr):
+    # one chunk of 2048 paths x 2048 steps: the weight is folded into each
+    # row block of 128 rows, so no (rows, steps) running buffer is taken;
+    # the estimates are those the running buffer gave, bit for bit (pinned
+    # from that kernel with numpy 2.4 on x86-64)
+    w = WeightSpec(q)
+    cfg = McConfig(pattern=IndexPattern(labels), p=p, weights=w,
+                   interval=UNIT, n_paths=2048, n_steps=2048, seed=9)
+    table = coefficient_table(w, p)
+    peak = traced_peak(cfg, table)
+    assert peak <= peak_bytes_per_thread(cfg)
+    assert peak < 0.1 * CHUNK_FLOATS * 8
+    est = empirical_mse(cfg, table, threads=1)
+    assert (est.estimate.hex(), est.standard_error.hex()) == (estimate, stderr)
 
 
 def test_usable_cpus_follow_the_affinity_mask(monkeypatch):

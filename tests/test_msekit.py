@@ -1,8 +1,12 @@
 """Exact error engine vs the permutation and catalog oracles and the bound."""
 
+import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
@@ -596,3 +600,125 @@ def test_square_sum_lookup_matches_direct_sums_and_the_bound(box):
     interval = Interval.from_length(length)
     assert mse_bound_exact(pattern, p_levels, w, interval, table=table) \
         == factorial_bound(pattern.k, p_levels, w, interval, table)
+
+
+# --- the per-table memo of orbit sums ----------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [[(0, 1), (1, 2)], [(0, 0)], [(-1, 0)],
+                                    [(0, 5)], [(0, 1.5)]])
+def test_orbit_square_sum_refuses_malformed_blocks(blocks):
+    # unchecked, the first three returned 83992, 164288 and 81968 and the
+    # fourth raised numpy's IndexError
+    table = coefficient_table(WeightSpec.unit(3), 2)
+    with pytest.raises(ValueError, match="positions"):
+        table.orbit_square_sum(2, blocks)
+
+
+def test_orbit_square_sum_ignores_the_order_of_blocks_and_positions():
+    table = coefficient_table(WeightSpec.unit(4), 2)
+    first = table.orbit_square_sum(2, [(0, 2), (1, 3)])
+    assert table.orbit_square_sum(2, [(3, 1), (2, 0)]) == first
+    assert table.orbit_square_sum(2, [[1, 3], (), [2, 0]]) == first
+    assert orbit_walk_square_sum(table, 2, [(0, 2), (1, 3)])[0] == first
+
+
+def test_orbit_square_sum_of_an_all_zero_table_is_zero():
+    table = CoeffTable(WeightSpec.unit(3), 2, [0] * 27, 5)
+    assert [table.orbit_square_sum(p, [(0, 1, 2)]) for p in range(3)] \
+        == [0, 0, 0]
+
+
+@st.composite
+def memo_cases(draw):
+    """An all-Wiener pattern of multiplicity 1..5, one of two weight
+    families, the orders 0..3 in random order and a seed."""
+    k = draw(st.integers(1, 5))
+    labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
+    exponents = draw(st.sampled_from([(0,) * k, (1,) + (0,) * (k - 1)]))
+    return (IndexPattern(labels), WeightSpec(exponents),
+            draw(st.permutations(range(4))), draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(memo_cases())
+def test_orbit_memo_matches_the_walk_at_orders_in_any_order(case):
+    pattern, w, orders, seed = case
+    built = _table(w.exponents)
+    # a table of its own, so that the memo fills at the first order drawn
+    table = CoeffTable(w, 3, built._nums, built._lcm)
+    errors = {}
+    for p in orders:
+        assert table.orbit_square_sum(p, pattern.blocks) \
+            == orbit_walk_square_sum(table, p, pattern.blocks)[0]
+        errors[p] = exact_mse(pattern, p, w, UNIT,
+                              table=table).exact_mse_rational
+    # every orbit term is nonnegative, so the error cannot rise with p
+    assert errors[0] >= errors[1] >= errors[2] >= errors[3] >= 0
+    # equal blocks on another table give that table's sums
+    rng = random.Random(seed)
+    other = CoeffTable(w, 3, [rng.randint(-10 ** 6, 10 ** 6)
+                              for _ in range(4 ** w.k)], rng.randint(1, 99))
+    for p in orders:
+        assert other.orbit_square_sum(p, pattern.blocks) \
+            == orbit_walk_square_sum(other, p, pattern.blocks)[0]
+
+
+def test_threads_sharing_a_fresh_table_get_the_serial_errors():
+    w = WeightSpec.unit(4)
+    calls = [(IndexPattern(labels), p) for labels in set_partitions(4)
+             for p in range(4)]
+
+    def errors(table):
+        return [exact_mse(pattern, p, w, UNIT, table=table).exact_mse_rational
+                for pattern, p in calls]
+
+    serial = errors(coefficient_table(w, 3))
+    shared = coefficient_table(w, 3)
+    start = threading.Barrier(2)
+
+    def run():
+        start.wait()
+        return errors(shared)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = [f.result() for f in [pool.submit(run) for _ in range(2)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial, serial]
+
+
+# --- golden digest of exact errors --------------------------------------------
+
+# SHA-256 of the exact errors below, one str(Fraction) a line, pinned from
+# the per-order orbit passes that preceded the memo; any change to an exact
+# error, however small, changes it
+GOLDEN_DIGEST = \
+    "2eb9eae6754ea893f0b40ba9ad673f89655f087cc51c8fecc879c21ebdab5422"
+
+
+def golden_errors():
+    for first in (0, 1):
+        for k in range(1, 6):
+            w = WeightSpec((first,) + (0,) * (k - 1))
+            table = coefficient_table(w, 3)
+            for labels in set_partitions(k):
+                for p in range(4):
+                    for length in (F(3, 4), F(7, 5)):
+                        yield exact_mse(IndexPattern(labels), p, w,
+                                        Interval.from_length(length),
+                                        table=table).exact_mse_rational
+    w = WeightSpec.unit(5)
+    table = coefficient_table(w, 5)
+    for labels in set_partitions(5):
+        for p in range(6):
+            yield exact_mse(IndexPattern(labels), p, w, UNIT,
+                            table=table).exact_mse_rational
+
+
+def test_exact_errors_match_the_golden_digest():
+    text = "\n".join(str(e) for e in golden_errors())
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
