@@ -15,15 +15,11 @@ one table-wide lcm D, with the half and dyadic powers every entry shares,
 and builds a ``CoeffValue`` when an entry is read. On first use by the
 exact error it derives, once, the prefix sums of w(j) * n_j^2 with w(j) =
 prod(2 j_l + 1), so that the squared sum over any box {0..p_1} x ... x
-{0..p_k} is one lookup, and the grid of modes of its nonzero entries.
-``CoeffTable.orbit_square_sum`` returns the exact error's double sum as a
-Python integer over D^2. The first call for a pattern's blocks groups the
-whole grid by orbit of their permutations in one array pass; a block
-permutation keeps each entry's largest mode, so that one grouping gives
-the sum for every order up to the table's, and the table keeps those
-integers, one memo entry per set of blocks. ``orbit_sums``, a dict walk
-that also keeps each orbit's first member, serves the expansion plan; the
-two share no code.
+{0..p_k} is one lookup. A block permutation keeps an entry's largest mode
+s, so no orbit crosses the shell of entries of largest mode s, and one
+grouping of a range of shells by orbit serves the exact error's double sum
+``CoeffTable.orbit_square_sum``, a Python integer over D^2 memoized per
+set of blocks and grown shell by shell, and ``expansion.expansion_plan``.
 
 Coefficient tables can be persisted as checksummed JSON documents; see
 ``save_table`` / ``load_table``; a load parses each stored core "n/d" as
@@ -167,11 +163,11 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
     ``CoeffValue`` is built when an entry is read. ``numerators`` must
     hold the (p + 1)^k entries {0..p}^k in lexicographic order; the
     constructor reduces them and D by their common divisor, so equal cores
-    give equal tables. The prefix sums of w(j) * n_j^2 and the mode grid
-    of the nonzero entries are each derived once, on first use by the exact
-    error; ``orbit_square_sum`` keeps the double sums of every order for
-    each set of blocks it has grouped. All of it derives from the
-    numerators alone and never leaves the table.
+    give equal tables. The prefix sums of w(j) * n_j^2 and the grid of the
+    nonzero entries, ordered by shell of largest mode, are each derived
+    once, on first use; ``orbit_square_sum`` keeps, for each set of blocks,
+    the double sums of the orders whose shells it has grouped. All of it
+    derives from the numerators alone and never leaves the table.
     """
 
     def __init__(self, weights: WeightSpec, p: int,
@@ -270,27 +266,9 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
             stride *= side
         return acc
 
-    def integer_cores(self, p_levels: Sequence[int],
-                      ) -> tuple[list[MultiIndex], list[int], int]:
-        """The multi-indices of the box {0..p_1} x ... x {0..p_k} and their
-        cores as integers over D, returned last, in lexicographic order.
-
-        A box beyond the table raises MissingCoefficientError naming its
-        first multi-index that the table lacks.
-        """
-        self._check_covers(p_levels)
-        nums = self._nums
-        index = list(itertools.product(*(range(top + 1) for top in p_levels)))
-        if any(top != self.p for top in p_levels):
-            flat = [0]
-            for top in p_levels:
-                flat = [f * (self.p + 1) + m for f in flat for m in range(top + 1)]
-            nums = [nums[f] for f in flat]
-        return index, nums, self._lcm
-
     def square_sum(self, p_levels: Sequence[int]) -> tuple[int, int]:
-        """Sum of w(j) * n_j^2 over the box {0..p_1} x ... x {0..p_k}, with
-        the C(j) = n_j / D of ``integer_cores``, and D: one lookup."""
+        """Sum of w(j) * n_j^2 over the box {0..p_1} x ... x {0..p_k}, where
+        C(j) = n_j / D, and D: one lookup."""
         self._check_covers(p_levels)
         flat = 0
         for top in p_levels:
@@ -298,15 +276,21 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         return self._square_prefix[flat], self._lcm
 
     @cached_property
-    def _mode_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # the entries with a nonzero core: their modes, and w(j) and the
-        # numerators as Python ints (object dtype)
+    def _mode_grid(self) -> tuple[np.ndarray, ...]:
+        # the entries with a nonzero core, stably ordered by largest mode, so
+        # lexicographic within a shell: their flat positions, modes, w(j) and
+        # numerators as Python ints (object dtype), and the shell ends; rows
+        # ends[s]:ends[s + 1] are the shell of largest mode s
         k = self.weights.k
-        modes = np.indices((self.p + 1,) * k, dtype=np.int64).reshape(k, -1).T
         nums = np.array(self._nums, dtype=object)
-        keep = np.flatnonzero(nums)
-        modes = modes[keep]
-        return modes, np.prod(2 * modes + 1, axis=1, dtype=object), nums[keep]
+        flat = np.flatnonzero(nums)
+        modes = np.indices((self.p + 1,) * k, dtype=np.int64).reshape(k, -1).T
+        top = modes[flat].max(axis=1)
+        order = np.argsort(top, kind="stable")
+        flat, modes = flat[order], modes[flat[order]]
+        ends = np.searchsorted(top[order], np.arange(self.p + 2))
+        return (flat, modes, np.prod(2 * modes + 1, axis=1, dtype=object),
+                nums[flat], ends)
 
     def _orbit_groups(self, blocks: Sequence[Sequence[int]],
                       ) -> tuple[tuple[int, ...], ...]:
@@ -329,62 +313,80 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
                 f", got {blocks}")
         return tuple(sorted(groups))
 
-    def _orbit_prefix(self, groups: tuple[tuple[int, ...], ...]) -> list[int]:
-        # the double sum for every order p = 0..P in one pass over the table:
-        # a block permutation keeps an entry's largest mode, so the orbits in
-        # the box {0..p}^k are those whose largest mode is at most p
-        modes, weights, nums = self._mode_grid
-        totals = [0] * (self.p + 1)
-        if not len(nums):
-            return totals
-        canon = modes.copy()
+    def _shell_orbits(self, groups: Sequence[Sequence[int]], shells: range,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the orbits of the nonzero entries of the given shells under the
+        # permutations within groups, ordered by their lexicographically
+        # first member: its modes, w and the orbit's sum of numerators; an
+        # orbit lies in one shell, whose rows run in that order
+        flat, modes, weights, nums, ends = self._mode_grid
+        lo, hi = ends[shells.start], ends[shells.stop]
+        if lo == hi:
+            return modes[:0], weights[:0], nums[:0]
+        side = shells.stop  # every mode of these shells is below it
+        rows = modes[lo:hi]
+        canon = rows.copy()
         for b in groups:
-            canon[:, b] = np.sort(canon[:, b], axis=1)
-        key = canon @ (self.p + 1) ** np.arange(self.weights.k)
+            canon[:, b] = _sorted_rows(rows[:, b], side)[0]
+        key = canon @ side ** np.arange(self.weights.k)
         order = np.argsort(key)
         key = key[order]
         starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        sums = np.add.reduceat(nums[order], starts)
-        first = order[starts]
-        reps = canon[first]
-        stab = weights[first]
-        for b in groups:
-            run = 1
-            for prev, pos in zip(b, b[1:]):
-                run = np.where(reps[:, pos] == reps[:, prev], run + 1, 1)
-                stab = stab * run
-        for top, term in zip(reps.max(axis=1).tolist(),
-                             (stab * sums * sums).tolist()):
-            totals[top] += term
-        return list(itertools.accumulate(totals))
+        sums = np.add.reduceat(nums[lo:hi][order], starts)
+        first = lo + np.minimum.reduceat(order, starts)
+        by_member = np.argsort(flat[first])
+        first = first[by_member]
+        return modes[first], weights[first], sums[by_member]
 
     def orbit_square_sum(self, p: int, blocks: Sequence[Sequence[int]]) -> int:
         """Sum over the orbits O of {0..p}^k under the permutations within
         each block of |Stab(O)| * w(O) * S_O^2, where S_O sums the numerators
         n_j over O: the double sum of the exact error, as an integer over D^2.
 
-        A trivial group is one ``square_sum`` lookup. Any other group is
-        grouped once per table, on its first call: one array pass over the
-        table's nonzero entries, where each block's modes sorted give the
-        orbit key and the stabilizer is the product of the factorials of
-        the run lengths of the sorted block modes. Each orbit's term goes to
-        its largest mode, and the prefix sums give the double sum for every
-        order up to the table's. The table keeps those P + 1 integers under
-        the blocks of two or more positions, so every later call with the
-        same group, at any order, is a lookup. Numerators, w(O), the
-        stabilizers and the sums stay Python integers. Blocks whose
-        positions are not distinct ints in 0..k - 1, or a negative order,
-        raise ValueError.
+        A trivial group is one ``square_sum`` lookup. For any other group
+        the table keeps, under the blocks of two or more positions, the
+        double sums of the orders grouped so far; a call at a higher order
+        groups only the shells up to p that are missing, so each nonzero
+        entry is grouped once per set of blocks. All of it stays in Python
+        integers. Blocks whose positions are not distinct ints in 0..k - 1,
+        or a negative order, raise ValueError.
         """
         groups = self._orbit_groups(blocks)
         if not groups:
             return self.square_sum((p,) * self.weights.k)[0]
         self._check_covers((p,) * self.weights.k)
-        totals = self._orbit_memo.get(groups)
-        if totals is None:  # threads that miss together keep the first list
-            totals = self._orbit_memo.setdefault(groups,
-                                                 self._orbit_prefix(groups))
+        totals = self._orbit_memo.get(groups, ())
+        if p < len(totals):
+            return totals[p]
+        reps, stab, sums = self._shell_orbits(groups, range(len(totals), p + 1))
+        for b in groups:
+            stab = stab * _sorted_rows(reps[:, b], p + 1)[1]
+        tops, terms = reps.max(axis=1), stab * sums * sums
+        shells = [terms[tops == s].sum() for s in range(len(totals), p + 1)]
+        # the longer tuple is stored whole, so no thread reads a half-built one
+        totals = self._orbit_memo[groups] = totals + tuple(itertools.accumulate(
+            shells, initial=totals[-1] if totals else 0))[1:]
         return totals[p]
+
+
+@lru_cache(maxsize=64)
+def _sorted_tuples(side: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # every m-tuple of modes below side, in lexicographic order, sorted, and
+    # its stabilizer's order: the product of the factorials of its run lengths
+    tuples = np.sort(np.indices((side,) * m).reshape(m, -1).T, axis=1)
+    stab = np.ones(len(tuples), dtype=np.int64)
+    run = 1
+    for pos in range(1, m):
+        run = np.where(tuples[:, pos] == tuples[:, pos - 1], run + 1, 1)
+        stab *= run
+    return tuples, stab
+
+
+def _sorted_rows(rows: np.ndarray, side: int) -> tuple[np.ndarray, np.ndarray]:
+    # each row of modes below side sorted, and its stabilizer's order
+    tuples, stab = _sorted_tuples(side, rows.shape[1])
+    at = rows @ side ** np.arange(rows.shape[1] - 1, -1, -1)
+    return tuples[at], stab[at]
 
 
 class _TableItems(ItemsView):
@@ -537,39 +539,6 @@ def coefficient_table(w: WeightSpec, p: int, *,
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(path, w, p, table, degree_cap=degree_cap)
     return table
-
-
-def orbit_sums(index: Sequence[MultiIndex], nums: Sequence[int],
-               blocks: Sequence[Sequence[int]]) -> dict[tuple, list]:
-    """Integer core sums over the orbits of the permutations within blocks.
-
-    Maps each orbit's key, the modes at the positions outside every block
-    of two or more followed by the sorted modes of each such block, to
-    [S, j]: the sum S of ``nums`` over the orbit and its first member j in
-    ``index``. Zero cores are skipped, so an orbit of zeros is absent.
-    """
-    groups = [operator.itemgetter(*b) for b in blocks if len(b) > 1]
-    grouped = {pos for b in blocks if len(b) > 1 for pos in b}
-    singles = [pos for pos in range(len(index[0])) if pos not in grouped]
-    rest = operator.itemgetter(*singles) if singles else (lambda j: ())
-    sorted_modes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    sums: dict[tuple, list] = {}
-    for j, n in zip(index, nums):
-        if n:
-            key = [rest(j)]
-            for take in groups:
-                modes = take(j)
-                canon = sorted_modes.get(modes)
-                if canon is None:
-                    canon = sorted_modes[modes] = tuple(sorted(modes))
-                key.append(canon)
-            key = tuple(key)
-            entry = sums.get(key)
-            if entry is None:
-                sums[key] = [n, j]
-            else:
-                entry[0] += n
-    return sums
 
 
 def table_key(w: WeightSpec, p: int, degree_cap: int = DEFAULT_DEGREE_CAP) -> str:

@@ -9,10 +9,9 @@ share a nonzero component label contributes a signed term, the sign being
 expansions for multiplicities 1 through 5 term by term; larger
 multiplicities are produced by the same rule but are flagged experimental.
 
-``expansion_plan`` sums the table's integer cores (derived once per
-``CoeffTable``) over the orbits of the pattern's block permutations
-(``coeffs.orbit_sums``, a dict walk of its own; the exact error groups
-orbits in an array pass instead) and rounds once per orbit, so
+``expansion_plan`` sums the table's integer cores over the orbits of the
+pattern's block permutations, through the table's shell-wise orbit
+grouping that the exact error uses too, and rounds once per orbit, so
 cancellations such as C(0,1) + C(1,0) = 0 hold by construction.
 ``realize`` and the Monte Carlo both evaluate their draws through such a
 plan.
@@ -32,7 +31,6 @@ from .coeffs import (
     CoeffTable,
     Interval,
     MissingCoefficientError,  # raised by CoeffTable; re-exported here
-    orbit_sums,
     require_table,
 )
 
@@ -141,7 +139,7 @@ def enumerate_matchings(pattern: IndexPattern) -> list[MatchingTerm]:
     return terms
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GaussianDraw:
     """One realization of the Gaussian families feeding an expansion.
 
@@ -237,20 +235,22 @@ def expansion_plan(pattern: IndexPattern, p: int,
     variable, so the cores are summed over each orbit as exact integers
     over the table's lcm D and converted to a float once per orbit; orbits
     whose sum is exactly zero, such as every orbit but (0, 0) of an equal
-    pair, are dropped. ``table`` must be a ``CoeffTable`` (TypeError
-    otherwise).
+    pair, are dropped. Each orbit is represented by its lexicographically
+    first member with a nonzero core, in that member's order. ``table``
+    must be a ``CoeffTable`` (TypeError otherwise).
     """
     require_table(table)
     k = pattern.k
+    table._check_covers((p,) * k)
     terms = enumerate_matchings(pattern)
     labels = tuple(sorted(set(pattern.labels)))
     offset = [labels.index(label) * (p + 1) for label in pattern.labels]
-    index, nums, lcm = table.integer_cores((p,) * k)
-    sums = [(s, j) for s, j in orbit_sums(index, nums, pattern.blocks).values()
-            if s]
-    reps = np.array([j for _, j in sums], dtype=np.intp).reshape(-1, k)
-    coefficients = np.array([s / lcm for s, _ in sums]) \
-        * 2.0 ** -table.two_power * np.sqrt(np.prod(2 * reps + 1, axis=1))
+    reps, weights, sums = table._shell_orbits(
+        table._orbit_groups(pattern.blocks), range(p + 1))
+    keep = np.flatnonzero(sums)
+    reps = reps[keep]
+    coefficients = np.array([s / table._lcm for s in sums[keep].tolist()]) \
+        * 2.0 ** -table.two_power * np.sqrt(weights[keep].astype(float))
     # the matching terms active at each orbit's member, orbit by orbit
     active = np.ones((len(reps), len(terms)), dtype=bool)
     columns = np.full((len(reps), len(terms), k), len(labels) * (p + 1),

@@ -28,6 +28,7 @@ that is not a ``CoeffTable``, too short or built for other weights.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,9 +292,9 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
     Supports unequal per-level truncations. Patterns with time components
     (label 0) require interval length strictly below 1; the bound does not
     apply otherwise. ``table`` is taken as in ``exact_mse``. The squared
-    sum is one lookup in the table's prefix sums.
+    sum is one prefix-sum lookup. A non-integer order raises TypeError.
     """
-    p_levels = tuple(int(p) for p in p_levels)
+    p_levels = tuple(map(operator.index, p_levels))
     if len(p_levels) != pattern.k:
         raise ValueError(
             f"expected {pattern.k} truncation orders, got {len(p_levels)}")

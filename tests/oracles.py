@@ -422,6 +422,58 @@ def enumerated_case_mse(pattern: IndexPattern, p: int, w: WeightSpec,
     return _report(pattern, p, w, interval, core, table)
 
 
+def integer_cores(table, p_levels) -> tuple[list[MultiIndex], list[int], int]:
+    """The multi-indices of the box {0..p_1} x ... x {0..p_k} and their
+    cores as integers over the table's D, returned last, in lexicographic
+    order.
+
+    A box beyond the table raises MissingCoefficientError naming its
+    first multi-index that the table lacks.
+    """
+    table._check_covers(p_levels)
+    nums = table._nums
+    index = list(itertools.product(*(range(top + 1) for top in p_levels)))
+    if any(top != table.p for top in p_levels):
+        flat = [0]
+        for top in p_levels:
+            flat = [f * (table.p + 1) + m for f in flat for m in range(top + 1)]
+        nums = [nums[f] for f in flat]
+    return index, nums, table._lcm
+
+
+def orbit_sums(index, nums, blocks) -> dict[tuple, list]:
+    """Integer core sums over the orbits of the permutations within blocks.
+
+    A dict walk: maps each orbit's key, the modes at the positions outside
+    every block of two or more followed by the sorted modes of each such
+    block, to [S, j]: the sum S of ``nums`` over the orbit and its first
+    member j in ``index``. Zero cores are skipped, so an orbit of zeros is
+    absent, and the orbits come in the order of their first member.
+    """
+    groups = [operator.itemgetter(*b) for b in blocks if len(b) > 1]
+    grouped = {pos for b in blocks if len(b) > 1 for pos in b}
+    singles = [pos for pos in range(len(index[0])) if pos not in grouped]
+    rest = operator.itemgetter(*singles) if singles else (lambda j: ())
+    sorted_modes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    sums: dict[tuple, list] = {}
+    for j, n in zip(index, nums):
+        if n:
+            key = [rest(j)]
+            for take in groups:
+                modes = take(j)
+                canon = sorted_modes.get(modes)
+                if canon is None:
+                    canon = sorted_modes[modes] = tuple(sorted(modes))
+                key.append(canon)
+            key = tuple(key)
+            entry = sums.get(key)
+            if entry is None:
+                sums[key] = [n, j]
+            else:
+                entry[0] += n
+    return sums
+
+
 def orbit_walk_square_sum(table, p: int, blocks) -> tuple[int, int]:
     """Sum over the orbits O of {0..p}^k under the permutations within
     blocks of |Stab(O)| * w(O) * S_O^2, as an integer over D^2, and D.
@@ -430,7 +482,7 @@ def orbit_walk_square_sum(table, p: int, blocks) -> tuple[int, int]:
     stabilizer is the product of the factorials of each block's mode
     multiplicities. It stays in Python integers and enumerates no group,
     so it reaches multiplicities whose group is too large to walk."""
-    index, nums, lcm = table.integer_cores((p,) * table.weights.k)
+    index, nums, lcm = integer_cores(table, (p,) * table.weights.k)
     sums: dict[tuple, int] = {}
     for j, n in zip(index, nums):
         key = tuple(tuple(sorted(j[pos] for pos in b)) for b in blocks)

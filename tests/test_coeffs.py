@@ -18,6 +18,8 @@ from oracles import (
     basis_phi,
     gauss_coefficient,
     integer_chain_cores,
+    integer_cores,
+    orbit_sums,
     ordered_monomial_integral,
 )
 
@@ -332,6 +334,43 @@ def test_scale_covariance(lam):
             assert ratio == pytest.approx(float(lam) ** power, rel=1e-12)
 
 
+@st.composite
+def shell_cases(draw):
+    """A table of order 0..3 at multiplicity 1..4 with random numerators,
+    about a quarter of them zero, random blocks of its positions, each in
+    random order, and a range of shells within the table."""
+    k = draw(st.integers(1, 4))
+    top = draw(st.integers(0, 3))
+    entry = st.tuples(st.integers(0, 3), st.integers(-9, 9)) \
+        .map(lambda pair: pair[1] if pair[0] else 0)
+    nums = draw(st.lists(entry, min_size=(top + 1) ** k,
+                         max_size=(top + 1) ** k))
+    table = CoeffTable(WeightSpec.unit(k), top, nums, draw(st.integers(1, 30)))
+    labels = draw(st.lists(st.integers(1, k), min_size=k, max_size=k))
+    blocks = [draw(st.permutations([pos for pos in range(k)
+                                    if labels[pos] == label]))
+              for label in draw(st.permutations(sorted(set(labels))))]
+    p = draw(st.integers(0, top))
+    return table, blocks, draw(st.integers(0, p)), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(shell_cases())
+def test_shell_orbits_match_the_dict_walk(case):
+    # the grouping behind the exact error and the expansion plan: for each
+    # orbit, in the order of its lexicographically first nonzero member,
+    # that member, w and the integer core sum
+    table, blocks, lo, p = case
+    reps, weights, sums = table._shell_orbits(blocks, range(lo, p + 1))
+    index, nums, _ = integer_cores(table, (p,) * table.weights.k)
+    walk = [(j, s) for s, j in orbit_sums(index, nums, blocks).values()
+            if max(j) >= lo]
+    assert [tuple(r) for r in reps.tolist()] == [j for j, _ in walk]
+    assert sums.tolist() == [s for _, s in walk]
+    assert weights.tolist() == [math.prod(2 * m + 1 for m in j)
+                                for j, _ in walk]
+
+
 # --- cache -------------------------------------------------------------------
 
 
@@ -528,7 +567,7 @@ def test_golden_cache_file_is_reproduced_byte_for_byte(tmp_path):
 def test_table_stores_reduced_numerators_over_one_lcm():
     w = WeightSpec((1, 0))
     table = coefficient_table(w, 2)
-    index, nums, lcm = table.integer_cores((2, 2))
+    index, nums, lcm = integer_cores(table, (2, 2))
     assert [Fraction(n, lcm) for n in nums] == [table[j].core for j in index]
     assert lcm == math.lcm(*(table[j].core.denominator for j in index))
     assert CoeffTable(w, 2, [6 * n for n in nums], 6 * lcm) == table

@@ -1,5 +1,6 @@
 """Matching generator against the hand-written correction-term lists."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expected_terms, fsum_realize
+from oracles import expected_terms, fsum_realize, set_partitions
 
 import itolegendre.expansion as expansion
 from itolegendre.coeffs import Interval, WeightSpec, coefficient_table
@@ -307,3 +308,34 @@ def test_realize_rejects_a_draw_with_too_few_modes():
     draw = sample_draw(pattern, 2, seed=0)
     with pytest.raises(ValueError, match="modes"):
         realize(pattern, 3, table, draw)
+
+
+# --- golden digest of expansion plans -----------------------------------------
+
+# SHA-256 over every field of the plans below, pinned from the dict walk over
+# orbits that preceded the shell-wise grouping; any change to a plan's orbits,
+# their order, representatives or coefficients, however small, changes it
+GOLDEN_PLAN_DIGEST = \
+    "a38f717859b97649c8b5e0051914d230ece967f0c8c9fa114f7608f5c2d05223"
+
+
+def plan_digest():
+    digest = hashlib.sha256()
+    for first in (0, 1):
+        for k in range(1, 6):
+            table = coefficient_table(WeightSpec((first,) + (0,) * (k - 1)), 3)
+            for labels in set_partitions(k):
+                for pattern in (labels, (0,) + labels[1:]):
+                    for p in range(4):
+                        plan = expansion_plan(IndexPattern(pattern), p, table)
+                        digest.update(repr((plan.labels, plan.p,
+                                            plan.half_power)).encode())
+                        for a in (plan.coefficients, plan.bounds,
+                                  plan.columns, plan.signs):
+                            digest.update(repr((a.dtype.str, a.shape)).encode())
+                            digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def test_expansion_plans_match_the_golden_digest():
+    assert plan_digest() == GOLDEN_PLAN_DIGEST

@@ -40,6 +40,7 @@ from oracles import (
     allowed_permutations,
     enumerated_case_mse,
     factorial_bound,
+    integer_cores,
     orbit_walk_mse,
     orbit_walk_square_sum,
     permutation_mse,
@@ -356,6 +357,18 @@ def test_bound_validates_levels():
         mse_bound(IndexPattern((1, 2)), (1, -1), w, UNIT)
 
 
+def test_bound_refuses_an_order_that_is_not_an_integer():
+    # int() truncated 1.9 to 1 and returned the bound at (1, 2), 1/30
+    pattern, w = IndexPattern((1, 2)), WeightSpec.unit(2)
+    half = Interval.from_length(F(1, 2))
+    assert mse_bound_exact(pattern, (1, 2), w, half) == F(1, 30)
+    for levels in [(1.9, 2), (1, 2.0)]:
+        with pytest.raises(TypeError):
+            mse_bound_exact(pattern, levels, w, half)
+        with pytest.raises(TypeError):
+            mse_bound(pattern, levels, w, half)
+
+
 @pytest.mark.parametrize("labels", [(1, 2), (1, 1)])
 def test_exact_error_refuses_a_negative_order_with_a_table(labels):
     # with a table given nothing is built, so exact_mse checks the order
@@ -591,7 +604,7 @@ def test_square_sum_lookup_matches_direct_sums_and_the_bound(box):
     pattern, w, p_levels, length = box
     table = _table4(w.exponents)
     squares, lcm = table.square_sum(p_levels)
-    index, nums, same_lcm = table.integer_cores(p_levels)
+    index, nums, same_lcm = integer_cores(table, p_levels)
     assert same_lcm == lcm
     assert index == list(itertools.product(*(range(p + 1) for p in p_levels)))
     assert nums == [table[j].core * lcm for j in index]
@@ -665,30 +678,43 @@ def test_orbit_memo_matches_the_walk_at_orders_in_any_order(case):
 
 
 def test_threads_sharing_a_fresh_table_get_the_serial_errors():
+    # one thread visits the orders ascending, the other descending, so that
+    # shells are grouped in one thread while the other reads the memo
     w = WeightSpec.unit(4)
-    calls = [(IndexPattern(labels), p) for labels in set_partitions(4)
-             for p in range(4)]
+    patterns = [IndexPattern(labels) for labels in set_partitions(4)]
 
-    def errors(table):
-        return [exact_mse(pattern, p, w, UNIT, table=table).exact_mse_rational
-                for pattern, p in calls]
+    def errors(table, orders):
+        return {(pattern.labels, p): exact_mse(pattern, p, w, UNIT,
+                                               table=table).exact_mse_rational
+                for pattern in patterns for p in orders}
 
-    serial = errors(coefficient_table(w, 3))
+    serial = errors(coefficient_table(w, 3), range(4))
     shared = coefficient_table(w, 3)
     start = threading.Barrier(2)
 
-    def run():
+    def run(orders):
         start.wait()
-        return errors(shared)
+        return errors(shared, orders)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = [f.result() for f in [pool.submit(run) for _ in range(2)]]
+            results = [f.result() for f in [pool.submit(run, orders) for orders
+                                            in (range(4), range(3, -1, -1))]]
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial, serial]
+
+
+def test_a_low_order_call_groups_only_its_shells():
+    built = _table((0, 0, 0))
+    table = CoeffTable(built.weights, 3, built._nums, built._lcm)
+    table.orbit_square_sum(1, [(0, 2), (1,)])
+    assert len(table._orbit_memo[((0, 2),)]) == 2
+    assert table.orbit_square_sum(3, [(0, 2), (1,)]) \
+        == orbit_walk_square_sum(table, 3, [(0, 2), (1,)])[0]
+    assert len(table._orbit_memo[((0, 2),)]) == 4
 
 
 # --- golden digest of exact errors --------------------------------------------
