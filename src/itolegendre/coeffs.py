@@ -102,7 +102,7 @@ class WeightSpec:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(q) for q in self.exponents)
+        exps = tuple(map(operator.index, self.exponents))
         object.__setattr__(self, "exponents", exps)
         if not 1 <= len(exps) <= 8:
             raise ValueError(f"multiplicity must be 1..8, got {len(exps)}")
@@ -270,10 +270,7 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         """Sum of w(j) * n_j^2 over the box {0..p_1} x ... x {0..p_k}, where
         C(j) = n_j / D, and D: one lookup."""
         self._check_covers(p_levels)
-        flat = 0
-        for top in p_levels:
-            flat = flat * (self.p + 1) + top
-        return self._square_prefix[flat], self._lcm
+        return self._error_sums(p_levels, ())[0], self._lcm
 
     @cached_property
     def _mode_grid(self) -> tuple[np.ndarray, ...]:
@@ -352,12 +349,23 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         or a negative order, raise ValueError.
         """
         groups = self._orbit_groups(blocks)
-        if not groups:
-            return self.square_sum((p,) * self.weights.k)[0]
         self._check_covers((p,) * self.weights.k)
+        return self._error_sums((p,) * self.weights.k, groups)[1]
+
+    def _error_sums(self, p_levels: Sequence[int],
+                    groups: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+        # ``square_sum`` and ``orbit_square_sum`` (at p_levels[0]), unchecked:
+        # the box is covered, groups a canonical key, orders equal if it is set
+        flat = 0
+        for top in p_levels:
+            flat = flat * (self.p + 1) + top
+        squares = self._square_prefix[flat]
+        if not groups:
+            return squares, squares
+        p = p_levels[0]
         totals = self._orbit_memo.get(groups, ())
         if p < len(totals):
-            return totals[p]
+            return squares, totals[p]
         reps, stab, sums = self._shell_orbits(groups, range(len(totals), p + 1))
         for b in groups:
             stab = stab * _sorted_rows(reps[:, b], p + 1)[1]
@@ -366,7 +374,7 @@ class CoeffTable(Mapping[MultiIndex, CoeffValue]):
         # the longer tuple is stored whole, so no thread reads a half-built one
         totals = self._orbit_memo[groups] = totals + tuple(itertools.accumulate(
             shells, initial=totals[-1] if totals else 0))[1:]
-        return totals[p]
+        return squares, totals[p]
 
 
 @lru_cache(maxsize=64)
@@ -481,7 +489,7 @@ def fourier_coefficient(j: Iterable[int], w: WeightSpec, *,
     integration variable. The interval enters only through reconstruction,
     see ``CoeffValue.value``.
     """
-    j = tuple(int(m) for m in j)
+    j = tuple(map(operator.index, j))
     if len(j) != w.k:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {w.k}")
     if any(m < 0 for m in j):

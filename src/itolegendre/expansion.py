@@ -20,6 +20,7 @@ plan.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,14 +49,14 @@ class IndexPattern:
 
     Label 0 denotes the time component; labels >= 1 name Wiener components.
     Only the coincidence structure matters: which positions carry equal
-    nonzero labels. That structure (``zero_positions``, ``blocks``,
-    ``coincidence_key``) is derived once per pattern.
+    nonzero labels. That structure (``zero_positions``, ``blocks``) is
+    derived once per pattern; ``coincidence_key`` reads ``blocks``.
     """
 
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(int(i) for i in self.labels)
+        labels = tuple(map(operator.index, self.labels))
         object.__setattr__(self, "labels", labels)
         if not labels:
             raise ValueError("pattern must have at least one position")
@@ -93,10 +94,10 @@ class IndexPattern:
         return tuple(tuple(v) for v in
                      sorted(seen.values(), key=lambda block: block[0]))
 
-    @cached_property
-    def coincidence_key(self) -> frozenset[frozenset[int]]:
-        """Blocks of size >= 2 as a canonical partition key."""
-        return frozenset(frozenset(b) for b in self.blocks if len(b) >= 2)
+    @property
+    def coincidence_key(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks of size >= 2, ordered as in ``blocks``: a canonical key."""
+        return tuple(b for b in self.blocks if len(b) > 1)
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,8 @@ def expansion_plan(pattern: IndexPattern, p: int,
     terms = enumerate_matchings(pattern)
     labels = tuple(sorted(set(pattern.labels)))
     offset = [labels.index(label) * (p + 1) for label in pattern.labels]
-    reps, weights, sums = table._shell_orbits(
-        table._orbit_groups(pattern.blocks), range(p + 1))
+    reps, weights, sums = table._shell_orbits(pattern.coincidence_key,
+                                              range(p + 1))
     keep = np.flatnonzero(sums)
     reps = reps[keep]
     coefficients = np.array([s / table._lcm for s in sums[keep].tolist()]) \

@@ -27,6 +27,7 @@ the block size either.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "n_paths", "n_steps", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.weights.k != self.pattern.k:
             raise ValueError(
                 f"pattern multiplicity {self.pattern.k} != weight "

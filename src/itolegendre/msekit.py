@@ -9,14 +9,15 @@ where I_k is the squared kernel norm, j runs over {0..p}^k, and sigma runs
 over the position permutations that preserve the pattern: the direct
 product of symmetric groups on its equality blocks. The double sum is
 the table's orbit-weighted square sum (``CoeffTable.orbit_square_sum``),
-in the exact integer cores over D: the table groups its entries by orbit
-of that group once, in one array pass, and keeps the sum for every order,
-so a sweep over p makes one pass; a trivial group, and the bound, reduce
-to one lookup of the table's prefix sums of w(j) * n_j^2. Each error and
-bound is then one Fraction built from an integer numerator and
-denominator. The engine is checked against the permutation and catalog
-oracles in tests/. The transcribed case catalog for multiplicities 1..5
-(labels (I), (II), (III).1, ...) names the case of each pattern.
+in the exact integer cores over D, which the table memoizes per set of
+blocks for every order grouped; a trivial group, and the bound, reduce to
+one lookup of the table's prefix sums of w(j) * n_j^2. An ``exact_mse``
+call checks its table once, reads both sums under the pattern's blocks
+and, with constants derived once per weight spec, makes its error one
+Fraction and its bound one integer division. The engine is checked against
+the permutation and catalog oracles in tests/. The transcribed case catalog
+for multiplicities 1..5 (labels (I), (II), (III).1, ...) names the case of
+each pattern.
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
 truncations and, for patterns containing the time component, requires
@@ -32,6 +33,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .coeffs import CoeffTable, Interval, WeightSpec, checked_table, kernel_norm
@@ -200,7 +202,7 @@ def _build_cases() -> dict[int, tuple[CaseInfo, ...]]:
 CASES = _build_cases()
 
 _CASE_BY_KEY = {
-    (k, frozenset(frozenset(s) for s in info.subsets)): info
+    (k, info.example.coincidence_key): info
     for k, infos in CASES.items() for info in infos
 }
 
@@ -229,20 +231,16 @@ def classify_case(pattern: IndexPattern) -> Optional[str]:
 # labels distinct, or the bound) it is the squared sum sum_j w(j) C(j)^2.
 
 
-def _scaled_error(w: WeightSpec, total: int, lcm: int, length: Fraction,
-                  times: int = 1) -> Fraction:
-    """times * (I_k - sum) * length^m as one Fraction, for a double sum
-    ``total`` over D^2. With I_k = a / (b 2^m) and the sum's scale
-    2^(-2(k + sum q)), the core is (a D^2 2^k - total b) / (b D^2 2^(2(k +
-    sum q)))."""
-    norm = kernel_norm(w).core
-    sum_q = sum(w.exponents)
-    m = w.k + 2 * sum_q
-    d2 = lcm * lcm
-    return Fraction(
-        times * ((norm.numerator * d2 << w.k) - total * norm.denominator)
-        * length.numerator ** m,
-        (norm.denominator * d2 << 2 * (w.k + sum_q)) * length.denominator ** m)
+@lru_cache(maxsize=256)
+def _weight_terms(w: WeightSpec) -> tuple[int, int, int, int, int, float]:
+    # with I_k = a / (b 2^m), a double sum T over D^2 at the scale 2^(-2(k +
+    # sum q)) leaves the error (a 2^k D^2 - T b) length^m / (b D^2 2^(2(k +
+    # sum q))): a 2^k, b, m, 2(k + sum q), k! and the float of I_k at length 1
+    norm = kernel_norm(w)
+    m = norm.two_power
+    return (norm.core.numerator << w.k, norm.core.denominator, m,
+            2 * (w.k + sum(w.exponents)), math.factorial(w.k),
+            float(norm.core) * 2.0 ** (-m))
 
 
 def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
@@ -262,9 +260,10 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
 
     Requires an all-Wiener pattern. ``table`` may supply a precomputed
     ``CoeffTable`` (any table covering modes 0..p works); ``checked_table``
-    builds it when absent and refuses one that does not fit. The report's
-    bound comes from the same pass over the table.
+    builds it when absent and refuses one that does not fit: the one table
+    check. A non-integer order raises TypeError.
     """
+    p = operator.index(p)
     _check_exact_args(pattern, w)
     if pattern.zero_positions:
         raise PatternScopeError(
@@ -272,16 +271,18 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
     table = checked_table(w, (p,) * w.k, table)
-    squares, lcm = table.square_sum((p,) * w.k)
-    length = interval.length
-    exact = _scaled_error(w, table.orbit_square_sum(p, pattern.blocks), lcm,
-                          length)
-    bound = _scaled_error(w, squares, lcm, length, math.factorial(w.k))
+    groups = pattern.coincidence_key
+    squares, total = table._error_sums((p,) * w.k, groups)
+    a, b, m, shift, k_fact, norm = _weight_terms(w)
+    d2, length = table._lcm ** 2, interval.length
+    scale, den = length.numerator ** m, (b * d2 << shift) * length.denominator ** m
+    exact = Fraction((a * d2 - total * b) * scale, den)
+    case = _CASE_BY_KEY.get((w.k, groups))
     return MseReport(
         pattern=pattern, p=p, weights=w, interval=interval,
         exact_mse=float(exact), exact_mse_rational=exact,
-        bound=float(bound), kernel_norm=kernel_norm(w).value(interval),
-        case_id=classify_case(pattern))
+        bound=k_fact * (a * d2 - squares * b) * scale / den,
+        kernel_norm=norm * float(length) ** m, case_id=case and case.label)
 
 
 def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
@@ -309,9 +310,11 @@ def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],
             "patterns with time components (label 0) are bounded only for "
             f"interval length < 1, got length {interval.length}")
     table = checked_table(w, p_levels, table)
-    squares, lcm = table.square_sum(p_levels)
-    return _scaled_error(w, squares, lcm, interval.length,
-                         math.factorial(pattern.k))
+    squares = table._error_sums(p_levels, ())[0]
+    a, b, m, shift, k_fact, _ = _weight_terms(w)
+    d2, length = table._lcm ** 2, interval.length
+    return Fraction(k_fact * (a * d2 - squares * b) * length.numerator ** m,
+                    (b * d2 << shift) * length.denominator ** m)
 
 
 def mse_bound(pattern: IndexPattern, p_levels: Iterable[int], w: WeightSpec,

@@ -66,6 +66,16 @@ def test_weight_spec_validation():
         WeightSpec((-1,))
 
 
+def test_weight_spec_refuses_exponents_that_are_not_integers():
+    # int() truncated (0.5, 0) to the unit weights
+    w = WeightSpec((np.int64(1), np.uint8(0)))
+    assert w == WeightSpec((1, 0))
+    assert all(type(q) is int for q in w.exponents)
+    for exponents in [(0.5, 0), (1.0, 0), ("1", 0)]:
+        with pytest.raises(TypeError):
+            WeightSpec(exponents)
+
+
 # --- basis -------------------------------------------------------------------
 
 
@@ -154,6 +164,17 @@ def test_coefficient_validates_arguments():
         fourier_coefficient((31, 0), WeightSpec.unit(2))
     with pytest.raises(DegreeCapError):
         fourier_coefficient((0,), WeightSpec((6,)))
+
+
+def test_coefficient_refuses_modes_that_are_not_integers():
+    # int() truncated (1.5, 0) to (1, 0) and returned its core, -2/3
+    w = WeightSpec.unit(2)
+    assert fourier_coefficient((np.int64(1), 0), w) \
+        == fourier_coefficient((1, 0), w)
+    assert fourier_coefficient((1, 0), w).core == F(-2, 3)
+    for j in [(1.5, 0), (1.0, 0)]:
+        with pytest.raises(TypeError):
+            fourier_coefficient(j, w)
 
 
 # --- kernel norm -------------------------------------------------------------

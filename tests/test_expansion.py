@@ -61,6 +61,18 @@ def test_matching_count_formula_single_block(m):
     assert len(enumerate_matchings(IndexPattern((1,) * m))) == expected
 
 
+def test_pattern_refuses_labels_that_are_not_integers():
+    # int() truncated (1.5, 1.2) to the equal pair (1, 1), whose error is 0
+    # where the distinct pair's is not
+    pattern = IndexPattern((np.int64(1), np.int32(2)))
+    assert pattern == IndexPattern((1, 2))
+    assert all(type(i) is int for i in pattern.labels)
+    assert IndexPattern.parse("1,2") == pattern
+    for labels in [(1.5, 1.2), (1.0, 2), ("1", 2)]:
+        with pytest.raises(TypeError):
+            IndexPattern(labels)
+
+
 def test_large_multiplicity_flagged_experimental():
     with pytest.warns(ExperimentalWarning):
         enumerate_matchings(IndexPattern((1, 2, 3, 4, 5, 6)))

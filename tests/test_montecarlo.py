@@ -278,6 +278,22 @@ def test_config_validation_and_soft_invariants():
         McConfig(pattern=pattern, p=1, weights=w, interval=UNIT, n_steps=32)
 
 
+def test_config_refuses_counts_that_are_not_integers():
+    # p=1.5 was accepted and failed only once the run started
+    w = WeightSpec.unit(2)
+    base = dict(pattern=IndexPattern((1, 2)), weights=w, interval=UNIT, p=1,
+                n_paths=2000, n_steps=128, seed=3)
+    cfg = McConfig(**{**base, "p": np.int64(1), "n_paths": np.int32(2000),
+                      "n_steps": np.uint16(128), "seed": np.int8(3)})
+    assert cfg == McConfig(**base)
+    assert all(type(v) is int
+               for v in (cfg.p, cfg.n_paths, cfg.n_steps, cfg.seed))
+    for name in ("p", "n_paths", "n_steps", "seed"):
+        for bad in (base[name] + 0.5, float(base[name])):
+            with pytest.raises(TypeError):
+                McConfig(**{**base, name: bad})
+
+
 def test_run_report_contents():
     pattern = IndexPattern((1, 2))
     w = WeightSpec.unit(2)

@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -369,6 +370,19 @@ def test_bound_refuses_an_order_that_is_not_an_integer():
             mse_bound(pattern, levels, w, half)
 
 
+def test_exact_error_refuses_an_order_that_is_not_an_integer():
+    # p=2.0 failed inside the table: "list indices must be integers or
+    # slices, not float"
+    pattern, w = IndexPattern((1, 2)), WeightSpec.unit(2)
+    half = Interval.from_length(F(1, 2))
+    report = exact_mse(pattern, np.int64(2), w, half)
+    assert report.exact_mse_rational == F(1, 80)
+    assert type(report.p) is int
+    for p in (2.0, 1.5, "2"):
+        with pytest.raises(TypeError):
+            exact_mse(pattern, p, w, half)
+
+
 @pytest.mark.parametrize("labels", [(1, 2), (1, 1)])
 def test_exact_error_refuses_a_negative_order_with_a_table(labels):
     # with a table given nothing is built, so exact_mse checks the order
@@ -518,17 +532,18 @@ def test_exact_error_is_invariant_under_relabelling(case, image, shift):
 
 
 @st.composite
-def wide_tables(draw):
-    """A random pattern of multiplicity 1..5 and a ``CoeffTable`` at order
-    0..3 built directly from random numerators of 64 to 200 bits (a quarter
-    of them zero) over a random denominator, with a truncation order, unequal
-    orders for the bound and a length. Real tables stay below 2^45, so only
-    these catch arithmetic narrower than Python integers."""
-    k = draw(st.integers(1, 5))
+def wide_tables(draw, max_k=5):
+    """A random pattern of multiplicity 1..max_k and a ``CoeffTable`` at
+    order 0..3 (0..1 above multiplicity 5) built directly from random
+    numerators of 64 to 200 bits (a quarter of them zero) over a random
+    denominator, with a truncation order, unequal orders for the bound and a
+    length. Real tables stay below 2^45, so only these catch arithmetic
+    narrower than Python integers."""
+    k = draw(st.integers(1, max_k))
     labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
     w = WeightSpec(tuple(draw(st.lists(st.integers(0, 2), min_size=k,
                                        max_size=k))))
-    table_p = draw(st.integers(0, 3))
+    table_p = draw(st.integers(0, 3 if k <= 5 else 1))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     nums = [rng.choice((-1, 1)) * rng.getrandbits(rng.randint(64, 200))
             if rng.random() < 0.75 else 0 for _ in range((table_p + 1) ** k)]
@@ -554,6 +569,90 @@ def test_exact_error_and_bound_stay_exact_on_wide_numerators(case):
             == factorial_bound(pattern.k, levels, w, interval, table)
     assert engine.bound == float(factorial_bound(
         pattern.k, (p,) * pattern.k, w, interval, table))
+
+
+# --- the lean exact-error call -------------------------------------------------
+
+
+def test_one_table_check_per_exact_error_hit_or_miss(monkeypatch):
+    checked = []
+    check = CoeffTable._check_covers
+
+    def counted(self, p_levels):
+        checked.append(tuple(p_levels))
+        return check(self, p_levels)
+
+    monkeypatch.setattr(CoeffTable, "_check_covers", counted)
+    built = _table((0, 0, 0))
+    # a table of its own, so that the first call for a set of blocks misses
+    table = CoeffTable(built.weights, 3, built._nums, built._lcm)
+    for labels in [(1, 1, 2), (1, 2, 1), (1, 2, 3)]:
+        for p in (2, 2, 3, 1):  # a miss, a hit, a miss growing the memo, a hit
+            checked.clear()
+            exact_mse(IndexPattern(labels), p, table.weights, UNIT, table=table)
+            assert checked == [(p,) * 3]
+    checked.clear()
+    mse_bound_exact(IndexPattern((0, 1, 1)), (1, 2, 3), table.weights,
+                    Interval.from_length(F(1, 2)), table=table)
+    assert checked == [(1, 2, 3)]
+
+
+def _assert_report_fields_match_their_public_routes(pattern, w, table, p,
+                                                    interval):
+    if pattern.k > 5:
+        with pytest.warns(ExperimentalWarning):
+            report = exact_mse(pattern, p, w, interval, table=table)
+    else:
+        report = exact_mse(pattern, p, w, interval, table=table)
+    # the memo key read from the blocks is the one the public route validates
+    assert pattern.coincidence_key == table._orbit_groups(pattern.blocks)
+    # E = (I_k - double sum) * length^m, the double sum over D^2 and the
+    # coefficients' scale 2^(2(k + sum q))
+    m = w.k + 2 * sum(w.exponents)
+    lcm = table.square_sum((p,) * w.k)[1]
+    double_sum = F(table.orbit_square_sum(p, pattern.blocks),
+                   lcm ** 2 << 2 * (w.k + sum(w.exponents)))
+    assert report.exact_mse_rational \
+        == (kernel_norm(w).core / 2 ** m - double_sum) * interval.length ** m
+    assert report.exact_mse == float(report.exact_mse_rational)
+    assert report.kernel_norm == kernel_norm(w).value(interval)
+    assert report.bound == float(mse_bound_exact(
+        pattern, (p,) * pattern.k, w, interval, table=table))
+    assert report.case_id == classify_case(pattern)
+    assert (report.case_id is None) == (pattern.k > 5)
+
+
+@lru_cache(maxsize=None)
+def _table_at(exponents, p):
+    return coefficient_table(WeightSpec(exponents), p)
+
+
+@st.composite
+def real_tables(draw):
+    """A random all-Wiener pattern of multiplicity 1..8, one of two weight
+    families, its built table (order 3, or 1 above multiplicity 5), an
+    order within it and a length."""
+    k = draw(st.integers(1, 8))
+    labels = tuple(draw(st.lists(st.integers(1, k), min_size=k, max_size=k)))
+    exponents = draw(st.sampled_from([(0,) * k, (1,) + (0,) * (k - 1)]))
+    table = _table_at(exponents, 3 if k <= 5 else 1)
+    length = F(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return (IndexPattern(labels), table.weights, table,
+            draw(st.integers(0, table.p)), Interval.from_length(length))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real_tables())
+def test_report_fields_match_their_public_routes_on_real_tables(case):
+    _assert_report_fields_match_their_public_routes(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_tables(max_k=8))
+def test_report_fields_match_their_public_routes_on_wide_numerators(case):
+    pattern, w, table, p, _, interval = case
+    _assert_report_fields_match_their_public_routes(pattern, w, table, p,
+                                                    interval)
 
 
 @pytest.mark.parametrize("labels", [
@@ -748,3 +847,33 @@ def golden_errors():
 def test_exact_errors_match_the_golden_digest():
     text = "\n".join(str(e) for e in golden_errors())
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+# --- golden digest of every report field ---------------------------------------
+
+# SHA-256 of every field an MseReport computes, one report a line: the
+# rational error, the repr of its float, of the bound and of the kernel norm,
+# and the case label; pinned from the per-call Fractions that preceded the
+# per-weight terms, so a float formed in another order shows
+GOLDEN_REPORT_DIGEST = \
+    "e125d967de8e53e0a148dc2ecdc70bfc17190c6e5bb9406e03b224cf9e3c4b68"
+
+
+def golden_reports():
+    for first in (0, 1):
+        for k in range(1, 6):
+            w = WeightSpec((first,) + (0,) * (k - 1))
+            table = _table_at(w.exponents, 5)
+            for labels in set_partitions(k):
+                for p in range(6):
+                    for length in (F(3, 4), F(7, 5)):
+                        r = exact_mse(IndexPattern(labels), p, w,
+                                      Interval.from_length(length), table=table)
+                        yield (f"{r.exact_mse_rational} {r.exact_mse!r} "
+                               f"{r.bound!r} {r.kernel_norm!r} {r.case_id}")
+
+
+def test_report_fields_match_the_golden_report_digest():
+    text = "\n".join(golden_reports())
+    assert len(text.splitlines()) == 2 * 75 * 6 * 2
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_DIGEST
