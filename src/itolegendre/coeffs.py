@@ -38,7 +38,7 @@ import os
 import re
 import tempfile
 from collections.abc import ItemsView, Mapping, ValuesView
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -74,25 +74,24 @@ class MissingCoefficientError(LookupError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed time interval [t, T] with exact rational endpoints."""
+    """Closed time interval [t, T] with exact rational endpoints; its
+    ``length`` T - t is derived once and left out of ==, hash and repr."""
 
     t: Fraction
     T: Fraction
+    length: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "t", Fraction(self.t))
         object.__setattr__(self, "T", Fraction(self.T))
         if self.T <= self.t:
             raise ValueError(f"interval must have T > t, got [{self.t}, {self.T}]")
+        object.__setattr__(self, "length", self.T - self.t)
 
     @classmethod
     def from_length(cls, length: Union[RationalLike, str, float]) -> "Interval":
         """Interval [0, length]; strings are parsed as exact decimals."""
         return cls(Fraction(0), Fraction(length))
-
-    @property
-    def length(self) -> Fraction:
-        return self.T - self.t
 
 
 @dataclass(frozen=True)

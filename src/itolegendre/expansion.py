@@ -49,8 +49,9 @@ class IndexPattern:
 
     Label 0 denotes the time component; labels >= 1 name Wiener components.
     Only the coincidence structure matters: which positions carry equal
-    nonzero labels. That structure (``zero_positions``, ``blocks``) is
-    derived once per pattern; ``coincidence_key`` reads ``blocks``.
+    nonzero labels. ``zero_positions`` is derived once per pattern and
+    ``blocks``, which ``coincidence_key`` reads, on every read: a cache
+    costs more than it saves on a pattern read once.
     """
 
     labels: tuple[int, ...]
@@ -84,15 +85,15 @@ class IndexPattern:
         """Positions carrying the time component (0-based)."""
         return tuple(l for l, i in enumerate(self.labels) if i == 0)
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Groups of positions sharing a nonzero label, singletons included."""
         seen: dict[int, list[int]] = {}
         for pos, label in enumerate(self.labels):
             if label != 0:
                 seen.setdefault(label, []).append(pos)
-        return tuple(tuple(v) for v in
-                     sorted(seen.values(), key=lambda block: block[0]))
+        # a dict keeps first-occurrence order: blocks by first position
+        return tuple(map(tuple, seen.values()))
 
     @property
     def coincidence_key(self) -> tuple[tuple[int, ...], ...]:

@@ -14,9 +14,10 @@ blocks for every order grouped; a trivial group, and the bound, reduce to
 one lookup of the table's prefix sums of w(j) * n_j^2. An ``exact_mse``
 call checks its table once, reads both sums under the pattern's blocks
 and, with constants derived once per weight spec, makes its error one
-Fraction and its bound one integer division. The engine is checked against
-the permutation and catalog oracles in tests/. The transcribed case catalog
-for multiplicities 1..5 (labels (I), (II), (III).1, ...) names the case of
+Fraction and each float field one integer division, correctly rounded as
+float() of a Fraction is. The engine is checked against the permutation
+and catalog oracles in tests/. The transcribed case catalog for
+multiplicities 1..5 (labels (I), (II), (III).1, ...) names the case of
 each pattern.
 
 The upper bound k! * (I_k - sum C(j)^2) supports unequal per-level
@@ -243,17 +244,6 @@ def _weight_terms(w: WeightSpec) -> tuple[int, int, int, int, int, float]:
             float(norm.core) * 2.0 ** (-m))
 
 
-def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
-    if w.k != pattern.k:
-        raise ValueError(
-            f"pattern multiplicity {pattern.k} != weight multiplicity {w.k}")
-    if pattern.k > CERTIFIED_MAX_K:
-        warnings.warn(
-            f"exact error at multiplicity {pattern.k} is experimental "
-            f"(certified up to {CERTIFIED_MAX_K})", ExperimentalWarning,
-            stacklevel=3)
-
-
 def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
               *, table: Optional[CoeffTable] = None) -> MseReport:
     """Exact mean-square truncation error via the orbit-sum engine.
@@ -264,25 +254,34 @@ def exact_mse(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
     check. A non-integer order raises TypeError.
     """
     p = operator.index(p)
-    _check_exact_args(pattern, w)
-    if pattern.zero_positions:
+    if w.k != pattern.k:
+        raise ValueError(
+            f"pattern multiplicity {pattern.k} != weight multiplicity {w.k}")
+    if pattern.k > CERTIFIED_MAX_K:
+        warnings.warn(
+            f"exact error at multiplicity {pattern.k} is experimental "
+            f"(certified up to {CERTIFIED_MAX_K})", ExperimentalWarning,
+            stacklevel=2)
+    if 0 in pattern.labels:
         raise PatternScopeError(
             "exact mean-square error is defined for Wiener components only "
             "(all labels >= 1); for patterns with time components (label 0) "
             "use the upper bound instead")
-    table = checked_table(w, (p,) * w.k, table)
+    orders = (p,) * w.k
+    table = checked_table(w, orders, table)
     groups = pattern.coincidence_key
-    squares, total = table._error_sums((p,) * w.k, groups)
+    squares, total = table._error_sums(orders, groups)
     a, b, m, shift, k_fact, norm = _weight_terms(w)
     d2, length = table._lcm ** 2, interval.length
     scale, den = length.numerator ** m, (b * d2 << shift) * length.denominator ** m
-    exact = Fraction((a * d2 - total * b) * scale, den)
+    num = (a * d2 - total * b) * scale
     case = _CASE_BY_KEY.get((w.k, groups))
     return MseReport(
         pattern=pattern, p=p, weights=w, interval=interval,
-        exact_mse=float(exact), exact_mse_rational=exact,
+        exact_mse=num / den, exact_mse_rational=Fraction(num, den),
         bound=k_fact * (a * d2 - squares * b) * scale / den,
-        kernel_norm=norm * float(length) ** m, case_id=case and case.label)
+        kernel_norm=norm * (length.numerator / length.denominator) ** m,
+        case_id=case and case.label)
 
 
 def mse_bound_exact(pattern: IndexPattern, p_levels: Iterable[int],

@@ -9,6 +9,7 @@ brute-force enumeration over permutation groups, and numerical quadrature.
 import itertools
 import math
 import operator
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ from itolegendre.coeffs import (
 )
 from itolegendre.expansion import (
     CERTIFIED_MAX_K,
+    ExperimentalWarning,
     GaussianDraw,
     IndexPattern,
     MissingCoefficientError,
@@ -36,7 +38,6 @@ from itolegendre.msekit import (
     _CASE_BY_KEY,
     MseReport,
     PatternScopeError,
-    _check_exact_args,
     classify_case,
     mse_bound,
 )
@@ -268,6 +269,17 @@ def gauss_coefficient(j, w, interval, nodes=24):
 # the package's orbit-sum engine.
 
 
+def sorted_blocks(labels) -> tuple[tuple[int, ...], ...]:
+    """Positions sharing each nonzero label, the blocks sorted by their
+    first position: the form ``IndexPattern.blocks`` had as a sort."""
+    seen: dict[int, list[int]] = {}
+    for pos, label in enumerate(labels):
+        if label != 0:
+            seen.setdefault(label, []).append(pos)
+    return tuple(tuple(v) for v in
+                 sorted(seen.values(), key=lambda block: block[0]))
+
+
 @dataclass(frozen=True)
 class BlockPermutations:
     """Position permutations preserving a pattern's coincidence structure."""
@@ -346,6 +358,18 @@ def _report(pattern: IndexPattern, p: int, w: WeightSpec, interval: Interval,
         exact_mse=float(exact), exact_mse_rational=exact,
         bound=bound, kernel_norm=norm.value(interval),
         case_id=classify_case(pattern))
+
+
+def _check_exact_args(pattern: IndexPattern, w: WeightSpec):
+    # the argument checks ``exact_mse`` makes, warning at its caller's caller
+    if w.k != pattern.k:
+        raise ValueError(
+            f"pattern multiplicity {pattern.k} != weight multiplicity {w.k}")
+    if pattern.k > CERTIFIED_MAX_K:
+        warnings.warn(
+            f"exact error at multiplicity {pattern.k} is experimental "
+            f"(certified up to {CERTIFIED_MAX_K})", ExperimentalWarning,
+            stacklevel=3)
 
 
 def _table_or_build(w: WeightSpec, p: int, table):

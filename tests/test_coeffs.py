@@ -1,9 +1,12 @@
 """Coefficient layer: exact values, scaling, quadrature oracle, cache."""
 
+import copy
+import dataclasses
 import itertools
 import json
 import math
 import multiprocessing
+import pickle
 import tempfile
 import time
 from fractions import Fraction
@@ -53,6 +56,28 @@ def test_interval_validation_and_length():
     assert Interval.from_length("0.25").length == F(1, 4)
     with pytest.raises(ValueError):
         Interval(1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(-10 ** 3, 10 ** 3, max_denominator=10 ** 3),
+       st.one_of(st.sampled_from([F(1, 10 ** 6), F(10 ** 6)]),
+                 st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6)))
+def test_interval_length_is_derived_once_and_kept_out_of_identity(t, length):
+    iv = Interval(t, t + length)
+    assert iv.length == iv.T - iv.t == length
+    assert type(iv.length) is Fraction
+    # equality, hashing and the repr read the endpoints alone, as before
+    assert iv == Interval(str(t), t + length)
+    assert iv != Interval(t, t + 2 * length)
+    assert hash(iv) == hash((iv.t, iv.T))
+    assert repr(iv) == f"Interval(t={iv.t!r}, T={iv.T!r})"
+    for twin in (pickle.loads(pickle.dumps(iv)), copy.copy(iv),
+                 copy.deepcopy(iv)):
+        assert twin == iv and twin.length == length
+    assert dataclasses.replace(iv, T=iv.T + 1).length == length + 1
+    assert dataclasses.replace(iv, t=iv.t - length).length == 2 * length
+    with pytest.raises(TypeError):
+        Interval(t, t + length, length=length)
 
 
 def test_weight_spec_validation():

@@ -47,6 +47,7 @@ from oracles import (
     permutation_mse,
     series_pair_error,
     set_partitions,
+    sorted_blocks,
     telescoped_pair_error,
 )
 
@@ -595,6 +596,49 @@ def test_one_table_check_per_exact_error_hit_or_miss(monkeypatch):
     mse_bound_exact(IndexPattern((0, 1, 1)), (1, 2, 3), table.weights,
                     Interval.from_length(F(1, 2)), table=table)
     assert checked == [(1, 2, 3)]
+
+
+def test_experimental_warning_points_at_the_caller_of_exact_mse():
+    w = WeightSpec.unit(6)
+    with pytest.warns(ExperimentalWarning) as record:
+        exact_mse(IndexPattern((1, 1, 2, 2, 3, 3)), 1, w, UNIT,
+                  table=_table_at(w.exponents, 1))
+    assert [r.filename for r in record
+            if r.category is ExperimentalWarning] == [__file__]
+
+
+@st.composite
+def intervals(draw):
+    """An interval of random rational length, 1/10^6 and 10^6 among them,
+    starting at 0 or at a random rational t."""
+    length = draw(st.one_of(
+        st.sampled_from([F(1, 10 ** 6), F(10 ** 6)]),
+        st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 6)))
+    t = draw(st.one_of(st.just(F(0)),
+                       st.fractions(-10 ** 3, 10 ** 3, max_denominator=10 ** 3)))
+    return Interval(t, t + length)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), intervals())
+def test_float_fields_are_the_floats_of_their_exact_values(case, interval):
+    pattern, w, p, _ = case
+    table = _table(w.exponents)
+    report = exact_mse(pattern, p, w, interval, table=table)
+    assert report.exact_mse.hex() == float(report.exact_mse_rational).hex()
+    bound = mse_bound_exact(pattern, (p,) * pattern.k, w, interval,
+                            table=table)
+    assert report.bound.hex() == float(bound).hex()
+    assert report.kernel_norm.hex() == kernel_norm(w).value(interval).hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=8))
+def test_blocks_are_ordered_by_first_position(labels):
+    pattern = IndexPattern(tuple(labels))
+    assert pattern.blocks == sorted_blocks(labels)
+    assert pattern.coincidence_key \
+        == tuple(b for b in sorted_blocks(labels) if len(b) > 1)
 
 
 def _assert_report_fields_match_their_public_routes(pattern, w, table, p,
